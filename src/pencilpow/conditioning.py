@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import kernels
 from .errors import ConvergenceError, NearSingularNodeError, ShapeError
@@ -183,8 +182,8 @@ def omega_malyshev(a, b, quad_points=512, rel_tol=1e-6, max_doublings=8):
                     smallest,
                     phi,
                 )
-            t = scipy.linalg.solve(f, h.astype(np.complex128))
-            integrand = scipy.linalg.solve(f, t.conj().T).conj().T
+            t = np.linalg.solve(f, h.astype(np.complex128))
+            integrand = np.linalg.solve(f, t.conj().T).conj().T
             acc += integrand
         return kernels.spectral_norm((np.pi / num_nodes) * acc)
 

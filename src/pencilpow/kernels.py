@@ -19,7 +19,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceError, NumericallySingularError, ShapeError
 from .precision import as_matrix, same_precision, square_matrix, unit_roundoff
@@ -197,10 +196,18 @@ def invert(a):
 
     A single QR-based code path is used so the stability story matches the
     rest of the library. A matrix with ``sigma_min < n * u * ||a||_2`` is
-    treated as numerically singular.
+    treated as numerically singular, and so is one whose QR factors come
+    out non-finite (an ``a`` scaled down into the subnormal range).
+
+    The solve ``R X = Q^H`` goes through numpy's ``?gesv``: partial-pivot LU
+    of an upper-triangular R with a nonzero diagonal is exact (L = I, U = R),
+    so this is the back substitution itself, run on numpy's one OpenBLAS
+    pool rather than waking scipy's second one.
     """
     a = square_matrix(a, "a")
     n = a.shape[0]
+    if n == 0:
+        raise ShapeError("invert requires a nonempty matrix, got shape (0, 0)")
     _tally("inv")
     with _suspend_counting():
         sv = _singular_values(a)
@@ -208,5 +215,7 @@ def invert(a):
         if sv[-1] < tol or sv[-1] == 0.0:
             raise NumericallySingularError("invert: matrix is numerically singular", sv[-1])
         qr = full_qr(a)
-        x = scipy.linalg.solve_triangular(qr.R, qr.Q.conj().T)
+        if not (np.isfinite(qr.R).all() and np.isfinite(qr.Q).all()):
+            raise NumericallySingularError("invert: QR factors are not finite", sv[-1])
+        x = np.linalg.solve(qr.R, qr.Q.conj().T)
     return np.ascontiguousarray(x)

@@ -59,7 +59,8 @@ class IRSStepTrace:
     ``norm_stack`` is ||(A_j; B_j)||_2, ``sigma_n_stack`` the n-th singular
     value of the factored stack (B_j; -A_j), and ``kappa_a`` / ``kappa_b``
     the condition numbers of the blocks (NaN in fast mode).
-    ``rank_warning`` flags sigma_n_stack < n * u * norm_stack.
+    ``rank_warning`` flags sigma_n_stack < n * u * norm_stack, and a zero
+    sigma_n_stack (the zero pencil included).
     """
 
     step_index: int
@@ -89,7 +90,7 @@ def _stack_diagnostics(stack, a_j, b_j, step_index, fast):
     norm_stack = float(sv[0])
     sigma_n = float(sv[-1])
     n = a_j.shape[0]
-    warn = sigma_n < n * unit_roundoff(a_j) * norm_stack
+    warn = sigma_n < n * unit_roundoff(a_j) * norm_stack or sigma_n == 0.0
     if warn:
         warnings.warn(
             f"implicit squaring step {step_index}: stacked block is numerically "

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import pencilpow
 from pencilpow import kernels
 from pencilpow.errors import (
     NumericallySingularError,
@@ -209,8 +214,33 @@ def test_invert_singular_error_carries_sigma_min():
 
 
 def test_invert_rejects_rectangular():
-    with pytest.raises(ShapeError):
-        kernels.invert(np.ones((2, 3), dtype=complex))
+    for shape in [(2, 3), (0, 0)]:
+        with pytest.raises(ShapeError):
+            kernels.invert(np.ones(shape, dtype=complex))
+
+
+def test_library_runtime_loads_no_scipy():
+    # scipy bundles a second OpenBLAS; once woken, its spinning idle workers
+    # slow numpy's SVD and QR, so the library calls LAPACK only through numpy
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import pencilpow\n"
+        "run = pencilpow.irs(np.eye(4), 2 * np.eye(4), 3)\n"
+        "pencilpow.implicit_to_explicit(run)\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+    )
+    src = os.path.dirname(os.path.dirname(pencilpow.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 # --- singular value inequalities ---------------------------------------------

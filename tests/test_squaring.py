@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -71,11 +73,25 @@ def test_irs_step_fast_mode_skips_kappas():
 
 
 def test_irs_step_rank_deficient_stack_warns_and_continues():
-    a = np.diag([1.0, 0.0]).astype(complex)
-    b = np.diag([1.0, 0.0]).astype(complex)
-    with pytest.warns(RankDeficientStackWarning):
-        _, _, tr = squaring.irs_step(a, b)
-    assert tr.rank_warning
+    # rank one, and the zero pencil, whose sigma_n = 0 = n * u * ||stack||
+    for a in (np.diag([1.0, 0.0]).astype(complex), np.zeros((2, 2), dtype=complex)):
+        with pytest.warns(RankDeficientStackWarning):
+            _, _, tr = squaring.irs_step(a, a.copy())
+        assert tr.rank_warning
+
+
+def test_subnormal_a_p_raises_structured_error():
+    # benign unit-circle pencil: the complex64 stack norm decays by 1/sqrt(2)
+    # per step, so by p = 300 ||A_p|| ~ 1.4e-45 and its QR factors hold NaN
+    a = np.eye(2, dtype=np.complex64)
+    b = np.diag([1j, -1]).astype(np.complex64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RankDeficientStackWarning)
+        run = squaring.irs(a, b, 300)
+    for convert in (squaring.implicit_to_explicit, squaring.spectral_projector):
+        with pytest.raises(NumericallySingularError) as exc:
+            convert(run)
+        assert np.isfinite(exc.value.sigma_min)
 
 
 # --- irs ----------------------------------------------------------------------
