@@ -7,9 +7,12 @@ stacked pair plus two multiplications, and the single inversion happens at
 the very end.
 """
 
+from itertools import islice
+
 import numpy as np
 
-from pencilpow import explicit_squaring, implicit_to_explicit, irs
+from pencilpow import explicit_squaring, implicit_to_explicit
+from pencilpow.squaring import irs_iter
 from pencilpow.harness import build_test_pencil, gen_ginibre, gen_haar, sample_spectrum
 
 n, p_max, seed = 32, 8, 12345
@@ -22,16 +25,17 @@ pencil, oracle = build_test_pencil(a, v, d)
 
 print(f"pencil: n={n}, eigenvalue moduli in [0.6, 1.0]")
 print(f"{'p':>3} {'implicit rel err':>18} {'explicit rel err':>18}")
-for p in range(1, p_max + 1):
+# irs_iter advances one run step by step instead of restarting it for each p
+for run in islice(irs_iter(pencil.a, pencil.b), p_max):
+    p = run.p
     target = oracle(p)
     target_norm = np.linalg.norm(target, 2)
-    run = irs(pencil.a, pencil.b, p)
     err_irs = np.linalg.norm(implicit_to_explicit(run) - target, 2) / target_norm
     err_es = np.linalg.norm(explicit_squaring(pencil.a, pencil.b, p) - target, 2) / target_norm
     print(f"{p:>3} {err_irs:>18.3e} {err_es:>18.3e}")
 
-# the per-step trace records the quantities the stability theory tracks
-run = irs(pencil.a, pencil.b, p_max)
+# the per-step trace of the last run records the quantities the stability
+# theory tracks
 print("\nper-step diagnostics of the full run:")
 print(f"{'j':>3} {'||(A_j;B_j)||':>14} {'sigma_n(stack)':>15} {'kappa(A_j)':>12}")
 for t in run.trace:

@@ -121,16 +121,23 @@ def expm(m, config=None):
     Raises `NumericallySingularError` if the Pade denominator (or, on the
     implicit path, the final A_s) is numerically singular.
     """
-    m = square_matrix(m, "m")
     config = config or ExpmConfig()
+    q, p, s = _final_pencil(m, config)
+    if s == 0 or config.squaring_backend == "explicit":
+        return explicit_squaring(q, p, s)
+    return implicit_to_explicit(irs(q, p, s, fast=True))
+
+
+def _final_pencil(m, config):
+    """The pencil (q(X), p(X)) at X = m / 2^s, and s: expm(m) is its 2^s-th power.
+
+    The scaling and Pade stage of `expm`, shared with the experiment harness
+    so that both squaring backends can be fed one evaluation of it.
+    """
+    m = square_matrix(m, "m")
     s = config.scaling_override
     if s is None:
         s = select_scaling(m, config.pade_degree)
     x = m * float(2.0 ** -s)
     p, q = pade_numerator_denominator(x, config.pade_degree)
-    if s == 0:
-        return kernels.matmul(kernels.invert(q), p)
-    if config.squaring_backend == "explicit":
-        return explicit_squaring(q, p, s)
-    run = irs(q, p, s, fast=True)
-    return implicit_to_explicit(run)
+    return q, p, s

@@ -31,8 +31,6 @@ _PRECISION_ALIASES = {
 }
 
 _CONFIG_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
-_INT_KEYS = {"n", "trials", "p_max", "seed"}
-_FLOAT_KEYS = {"delta", "annulus_r_lo", "annulus_r_hi"}
 
 
 def _read_config_file(path):
@@ -48,14 +46,12 @@ def _read_config_file(path):
             key, val = (s.strip() for s in line.split("=", 1))
             if key not in _CONFIG_TYPES:
                 raise SystemExit(f"{path}:{lineno}: unknown config key {key!r}")
-            if key in _INT_KEYS:
-                out[key] = int(val)
-            elif key in _FLOAT_KEYS:
-                out[key] = float(val)
-            elif key == "precision":
-                out[key] = _PRECISION_ALIASES.get(val, val)
-            else:
-                out[key] = val
+            try:
+                out[key] = _CONFIG_TYPES[key](val)
+            except ValueError:
+                raise SystemExit(
+                    f"{path}:{lineno}: {key} expects {_CONFIG_TYPES[key].__name__}, got {val!r}"
+                ) from None
     return out
 
 
@@ -77,18 +73,7 @@ def _build_config(args):
     kwargs = {}
     if args.config:
         kwargs.update(_read_config_file(args.config))
-    for key in (
-        "experiment",
-        "n",
-        "trials",
-        "p_max",
-        "conditioning",
-        "spectrum",
-        "delta",
-        "precision",
-        "seed",
-        "output_dir",
-    ):
+    for key in _CONFIG_TYPES:
         val = getattr(args, key, None)
         if val is not None:
             kwargs[key] = val

@@ -9,15 +9,17 @@ V D^(2^p) V^-1 that the problems are constructed from.
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .. import kernels
 from ..conditioning import kappa_irs
 from ..errors import DomainError, NumericallySingularError
-from ..expm import ExpmConfig, expm, pade_numerator_denominator, select_scaling
+from ..expm import ExpmConfig, _final_pencil
+from ..kernels import _kappa_sigma
 from ..precision import dtype_for, unit_roundoff
-from ..squaring import IRSRun, explicit_squaring, implicit_to_explicit, irs_step
+from ..squaring import explicit_squaring, implicit_to_explicit, irs, irs_iter
 from .generators import (
     build_test_pencil,
     gen_ginibre,
@@ -105,18 +107,36 @@ def _trial_seed(config, trial):
     return config.seed ^ trial
 
 
-def _kappa_sigma(a):
-    sv = np.linalg.svd(a, compute_uv=False)
-    kappa = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
-    return kappa, float(sv[-1])
+def _rel_err(compute, oracle, oracle_norm):
+    """Relative 2-norm error of ``compute()`` against the oracle.
 
-
-def _rel_err(x, oracle, oracle_norm):
+    NaN (the sentinel) when the computation raises `NumericallySingularError`
+    or `DomainError`, returns a non-finite matrix, or returns None (an
+    exhausted `_explicit_powers`, whose path failed at an earlier step).
+    """
+    try:
+        x = compute()
+    except (NumericallySingularError, DomainError):
+        return float("nan")
+    if x is None or not np.isfinite(x).all():
+        return float("nan")
     return float(np.linalg.norm(np.asarray(x, dtype=np.complex128) - oracle, 2) / oracle_norm)
 
 
-def _draw_square_problem(config, trial):
-    """A, V, d for one squaring trial (one stream per trial)."""
+def _explicit_powers(a, b):
+    """Yield D_0^(2^p) for p = 1, 2, ...: D_0 = a^-1 b, squared once per step."""
+    d = kernels.matmul(kernels.invert(a), b)
+    while True:
+        d = kernels.matmul(d, d)
+        yield d
+
+
+def _draw_square_pencil(config, trial):
+    """(A, B) at the configured precision and the oracle of one squaring trial.
+
+    One random stream per trial draws A, Haar V and d; B = A V diag(d) V^H
+    and the oracle maps p to V D^(2^p) V^H.
+    """
     rng = rng_from_seed(_trial_seed(config, trial))
     a = gen_ginibre(config.n, rng)
     if config.conditioning == "ill":
@@ -128,52 +148,41 @@ def _draw_square_problem(config, trial):
         d = sample_spectrum(
             config.spectrum, config.n, rng, config.annulus_r_lo, config.annulus_r_hi
         )
-    return a, v, d
+    pencil, oracle = build_test_pencil(a, v, d)
+    dtype = dtype_for(config.precision)
+    return pencil.a.astype(dtype), pencil.b.astype(dtype), oracle
 
 
 def run_square_experiment(config):
     """Implicit vs. explicit squaring errors per step.
 
     Per trial: draw A (well or ill conditioned), Haar V, diagonal d per the
-    configured spectrum, and set B = A V diag(d) V^H. The implicit recursion
-    is advanced one step per p (never recomputed from scratch); the explicit
-    product is squared alongside. Recording stops for a trial after either
-    error exceeds `EXPLOSION_CUTOFF` (the exploding row itself is kept).
+    configured spectrum, and set B = A V diag(d) V^H. The implicit runs come
+    from `irs_iter` (one step per p, never recomputed from scratch); the
+    explicit product is squared alongside. Recording stops for a trial after
+    either error exceeds `EXPLOSION_CUTOFF` (the exploding row itself is
+    kept; a NaN sentinel never counts as exploded), and before the first p
+    whose oracle V D^(2^p) V^H is not finite: with |d_i| > 1 it overflows
+    (for |d_i| = 1.048 at p = 14), leaving nothing to measure against.
     """
-    dtype = dtype_for(config.precision)
     records = []
     for trial in range(config.trials):
-        a64, v, d = _draw_square_problem(config, trial)
-        pencil, oracle = build_test_pencil(a64, v, d)
-        a_j = pencil.a.astype(dtype)
-        b_j = pencil.b.astype(dtype)
-        kappa_in, _ = _kappa_sigma(a_j)
-        try:
-            d_es = kernels.matmul(kernels.invert(a_j), b_j)
-        except NumericallySingularError:
-            d_es = None
-        entries = []
-        for j in range(config.p_max):
-            p = j + 1
-            a_j, b_j, entry = irs_step(a_j, b_j, step_index=j, fast=True)
-            entries.append(entry)
-            if d_es is not None:
-                d_es = kernels.matmul(d_es, d_es)
-            target = oracle(p)
+        a0, b0, oracle = _draw_square_pencil(config, trial)
+        kappa_in, _ = _kappa_sigma(a0)
+        es_powers = _explicit_powers(a0, b0)
+        for run in islice(irs_iter(a0, b0, fast=True), config.p_max):
+            with np.errstate(over="ignore", invalid="ignore"):  # checked next
+                target = oracle(run.p)
+            if not np.isfinite(target).all():
+                break
             target_norm = np.linalg.norm(target, 2)
-            run = IRSRun(a_p=a_j, b_p=b_j, trace=tuple(entries), p=p)
-            try:
-                err_irs = _rel_err(implicit_to_explicit(run), target, target_norm)
-            except NumericallySingularError:
-                err_irs = float("nan")
-            err_es = (
-                _rel_err(d_es, target, target_norm) if d_es is not None else float("nan")
-            )
-            kappa_ap, sigma_n_ap = _kappa_sigma(a_j)
+            err_irs = _rel_err(lambda: implicit_to_explicit(run), target, target_norm)
+            err_es = _rel_err(lambda: next(es_powers, None), target, target_norm)
+            kappa_ap, sigma_n_ap = _kappa_sigma(run.a_p)
             records.append(
                 TrialRecord(
                     trial=trial,
-                    p=p,
+                    p=run.p,
                     err_irs=err_irs,
                     err_es=err_es,
                     kappa_a_input=kappa_in,
@@ -181,31 +190,24 @@ def run_square_experiment(config):
                     sigma_n_ap=sigma_n_ap,
                 )
             )
-            exploded = (not math.isnan(err_irs) and err_irs > EXPLOSION_CUTOFF) or (
-                not math.isnan(err_es) and err_es > EXPLOSION_CUTOFF
-            )
-            if exploded:
+            # NaN compares false, so a sentinel never counts as exploded
+            if err_irs > EXPLOSION_CUTOFF or err_es > EXPLOSION_CUTOFF:
                 break
     return records
 
 
 def run_condition_evolution(config):
     """kappa_2(A_p) per implicit step; no error columns."""
-    dtype = dtype_for(config.precision)
     records = []
     for trial in range(config.trials):
-        a64, v, d = _draw_square_problem(config, trial)
-        pencil, _ = build_test_pencil(a64, v, d)
-        a_j = pencil.a.astype(dtype)
-        b_j = pencil.b.astype(dtype)
-        kappa_in, _ = _kappa_sigma(a_j)
-        for j in range(config.p_max):
-            a_j, b_j, _ = irs_step(a_j, b_j, step_index=j, fast=True)
-            kappa_ap, sigma_n_ap = _kappa_sigma(a_j)
+        a0, b0, _ = _draw_square_pencil(config, trial)
+        kappa_in, _ = _kappa_sigma(a0)
+        for run in islice(irs_iter(a0, b0, fast=True), config.p_max):
+            kappa_ap, sigma_n_ap = _kappa_sigma(run.a_p)
             records.append(
                 TrialRecord(
                     trial=trial,
-                    p=j + 1,
+                    p=run.p,
                     kappa_a_input=kappa_in,
                     kappa_ap=kappa_ap,
                     sigma_n_ap=sigma_n_ap,
@@ -219,10 +221,12 @@ def run_expm_experiment(config):
 
     Per trial: M = V diag(d) V^-1 with d from the unit disk and V a complex
     Gaussian whose smallest singular value is shrunk by ``config.delta``
-    (delta = 1 leaves it Gaussian). Both backends run at the same s (the
-    1-norm Pade selection); errors are measured against V e^D V^-1.
-    ``kappa_a_input`` records kappa_2(V), ``kappa_ap``/``sigma_n_ap`` the
-    final implicit A_s, and ``p`` = ``s_selected`` = s.
+    (delta = 1 leaves it Gaussian). The scaling and Pade stage of `expm` is
+    evaluated once, and its pencil (q(X), p(X)) is squared s times by both
+    backends (s the 1-norm Pade selection); errors are measured against
+    V e^D V^-1, NaN where a backend failed. ``kappa_a_input`` records
+    kappa_2(V), ``kappa_ap``/``sigma_n_ap`` the final implicit A_s, and
+    ``p`` = ``s_selected`` = s.
     """
     dtype = dtype_for(config.precision)
     records = []
@@ -236,31 +240,15 @@ def run_expm_experiment(config):
         reference = (v * np.exp(d)[None, :]) @ v_inv
         ref_norm = np.linalg.norm(reference, 2)
         kappa_v, _ = _kappa_sigma(v)
-        s = select_scaling(m)
-        cfg = ExpmConfig(squaring_backend="explicit", scaling_override=s)
-        try:
-            err_es = _rel_err(expm(m, cfg), reference, ref_norm)
-        except NumericallySingularError:
-            err_es = float("nan")
-        # implicit path unrolled so the final A_s is available for diagnostics
-        x = m * float(2.0 ** -s)
-        p_mat, q_mat = pade_numerator_denominator(x)
-        a_j, b_j = q_mat, p_mat
-        entries = []
-        for j in range(s):
-            a_j, b_j, entry = irs_step(a_j, b_j, step_index=j, fast=True)
-            entries.append(entry)
-        run = IRSRun(a_p=a_j, b_p=b_j, trace=tuple(entries), p=s)
-        try:
-            result_irs = (
-                implicit_to_explicit(run)
-                if s > 0
-                else kernels.matmul(kernels.invert(q_mat), p_mat)
-            )
-            err_irs = _rel_err(result_irs, reference, ref_norm)
-        except NumericallySingularError:
-            err_irs = float("nan")
-        kappa_as, sigma_n_as = _kappa_sigma(a_j)
+        q, p, s = _final_pencil(m, ExpmConfig())
+        err_es = _rel_err(lambda: explicit_squaring(q, p, s), reference, ref_norm)
+        if s == 0:  # both backends evaluate q(X)^-1 p(X)
+            a_s, err_irs = q, err_es
+        else:
+            run = irs(q, p, s, fast=True)
+            a_s = run.a_p
+            err_irs = _rel_err(lambda: implicit_to_explicit(run), reference, ref_norm)
+        kappa_as, sigma_n_as = _kappa_sigma(a_s)
         records.append(
             TrialRecord(
                 trial=trial,
@@ -353,9 +341,7 @@ def run_bound_report(config):
     b0 = pencil.b.astype(dtype)
 
     stack_norm = kernels.spectral_norm(np.vstack([a0, b0]))
-    sv_a = np.linalg.svd(a0, compute_uv=False)
-    sigma_n_a = float(sv_a[-1])
-    kappa_a = float(sv_a[0] / sv_a[-1])
+    kappa_a, sigma_n_a = _kappa_sigma(a0)
     norm_b = kernels.spectral_norm(b0)
     product_base = kernels.spectral_norm((v * d[None, :]) @ v.conj().T)
     tau = n * n * u
@@ -363,23 +349,17 @@ def run_bound_report(config):
     delta0 = tau * stack_norm * (sigma_n_a + norm_b) / (sigma_n_a - tau * stack_norm)
 
     rows = []
-    a_j, b_j = a0, b0
-    d_es = kernels.matmul(kernels.invert(a0), b0)
-    entries = []
-    for j in range(config.p_max):
-        p = j + 1
-        a_j, b_j, entry = irs_step(a_j, b_j, step_index=j, fast=True)
-        entries.append(entry)
-        d_es = kernels.matmul(d_es, d_es)
+    runs = islice(irs_iter(a0, b0, fast=True), config.p_max)
+    for run, d_es in zip(runs, _explicit_powers(a0, b0)):
+        p = run.p
         target = oracle(p)
-        run = IRSRun(a_p=a_j, b_p=b_j, trace=tuple(entries), p=p)
         err_irs = float(
             np.linalg.norm(np.asarray(implicit_to_explicit(run), dtype=np.complex128) - target, 2)
         )
         err_es = float(np.linalg.norm(np.asarray(d_es, dtype=np.complex128) - target, 2))
 
-        kappa_ap, sigma_ap = _kappa_sigma(a_j)
-        norm_bp = kernels.spectral_norm(b_j)
+        kappa_ap, sigma_ap = _kappa_sigma(run.a_p)
+        norm_bp = kernels.spectral_norm(run.b_p)
         kap_irs = kappa_irs(a0, b0, p)
         gamma = 1.0 + 4.0 * math.sqrt(2.0) * (8.0 * math.log(n + 1) + 28.0) * kap_irs
         eps = 14.0 * tau * gamma ** (p - 1)
@@ -404,14 +384,7 @@ def run_bound_report(config):
         )
 
     with kernels.count_kernels() as flops_irs:
-        aa, bb = a0, b0
-        count_entries = []
-        for j in range(config.p_max):
-            aa, bb, entry = irs_step(aa, bb, step_index=j, fast=True)
-            count_entries.append(entry)
-        implicit_to_explicit(
-            IRSRun(a_p=aa, b_p=bb, trace=tuple(count_entries), p=config.p_max)
-        )
+        implicit_to_explicit(irs(a0, b0, config.p_max, fast=True))
     with kernels.count_kernels() as flops_es:
         explicit_squaring(a0, b0, config.p_max)
     expected_irs = kernels.KernelCounts(

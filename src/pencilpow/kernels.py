@@ -140,7 +140,20 @@ def full_qr(a):
     if m < n:
         raise ShapeError(f"full_qr requires m >= n, got shape {a.shape}")
     _tally("qr")
-    q, r = np.linalg.qr(a, mode="complete")
+    q, r = _positive_qr(a, "complete")
+    return FullQR(Q=q, R=r)
+
+
+def _positive_qr(a, mode):
+    """``np.linalg.qr(a, mode)`` with the phases of diag(R) moved into Q.
+
+    The one place QR phases are normalized: diag(R) becomes exactly real and
+    >= 0 (a zero diagonal entry keeps phase 1), the strict lower triangle of
+    R is written to exact zeros, and Q R still reconstructs ``a``. Not
+    tallied; `full_qr` bills the call.
+    """
+    n = a.shape[1]
+    q, r = np.linalg.qr(a, mode=mode)
     diag = np.diagonal(r)[:n].copy()
     mags = np.abs(diag)
     safe = np.where(mags == 0, 1.0, mags)
@@ -151,7 +164,7 @@ def full_qr(a):
     r[idx, idx] = mags  # bit-exact real diagonal
     q = q.copy()
     q[:, :n] *= phases[None, :]
-    return FullQR(Q=q, R=r)
+    return q, r
 
 
 def _singular_values(a):
@@ -175,6 +188,13 @@ def svd(a):
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"svd did not converge: {exc}") from exc
     return SVDResult(U=u, singular_values=s, V=vh.conj().T)
+
+
+def _kappa_sigma(a):
+    """(kappa_2(a), sigma_min(a)) from one SVD; kappa is inf when sigma_min is 0."""
+    sv = _singular_values(a)
+    kappa = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
+    return kappa, float(sv[-1])
 
 
 def spectral_norm(a):

@@ -160,16 +160,6 @@ class PerturbCertificate:
     valid: bool
 
 
-def _reduced_qr_positive(a):
-    """Reduced QR with real positive diag(R): the unique factorization."""
-    q, r = np.linalg.qr(a, mode="reduced")
-    diag = np.diagonal(r).copy()
-    mags = np.abs(diag)
-    safe = np.where(mags == 0, 1.0, mags)
-    phases = np.where(mags == 0, np.asarray(1.0, dtype=a.dtype), diag / safe)
-    return q * phases[None, :]
-
-
 def qr_perturb_certificate(a, e):
     """Certificate for the spectral-norm QR perturbation bound.
 
@@ -196,8 +186,9 @@ def qr_perturb_certificate(a, e):
         raise NumericallySingularError("qr_perturb_certificate: a is rank deficient", sv[-1])
     e_norm = kernels.spectral_norm(e)
     alpha_arg = e_norm / float(sv[-1])
-    q_a = _reduced_qr_positive(a)
-    q_ae = _reduced_qr_positive(a + e)
+    # reduced QR with real positive diag(R): the unique factorization
+    q_a, _ = kernels._positive_qr(a, "reduced")
+    q_ae, _ = kernels._positive_qr(a + e, "reduced")
     empirical = kernels.spectral_norm(q_ae - q_a)
     if alpha_arg >= 1.0:
         return PerturbCertificate(empirical, float("inf"), alpha_arg, valid=False)

@@ -10,6 +10,7 @@ arithmetic, without ever forming the inverse. The explicit alternative forms
 D_0 = A^-1 B and squares it p times.
 """
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -24,6 +25,7 @@ __all__ = [
     "IRSStepTrace",
     "IRSRun",
     "irs_step",
+    "irs_iter",
     "irs",
     "explicit_squaring",
     "implicit_to_explicit",
@@ -101,10 +103,8 @@ def _stack_diagnostics(stack, a_j, b_j, step_index, fast):
     if fast:
         kappa_a = kappa_b = float("nan")
     else:
-        sa = np.linalg.svd(a_j, compute_uv=False)
-        sb = np.linalg.svd(b_j, compute_uv=False)
-        kappa_a = float(sa[0] / sa[-1]) if sa[-1] > 0 else float("inf")
-        kappa_b = float(sb[0] / sb[-1]) if sb[-1] > 0 else float("inf")
+        kappa_a, _ = kernels._kappa_sigma(a_j)
+        kappa_b, _ = kernels._kappa_sigma(b_j)
     return IRSStepTrace(
         step_index=step_index,
         norm_stack=norm_stack,
@@ -145,8 +145,25 @@ def irs_step(a_j, b_j, step_index=0, fast=False):
     return a_next, b_next, trace
 
 
+def irs_iter(a, b, fast=False):
+    """Yield the `IRSRun` after each implicit squaring step, p = 1, 2, ...
+
+    This is the one loop over `irs_step`: each step advances the previous
+    run's (A_p, B_p), never recomputing from scratch. The generator is
+    unbounded; bound it with ``itertools.islice``. The pencil is validated
+    when the first run is requested.
+    """
+    pencil = Pencil(a, b)
+    a_j, b_j = pencil.a, pencil.b
+    trace = ()
+    for j in itertools.count():
+        a_j, b_j, entry = irs_step(a_j, b_j, step_index=j, fast=fast)
+        trace += (entry,)
+        yield IRSRun(a_p=a_j, b_p=b_j, trace=trace, p=j + 1)
+
+
 def irs(a, b, p, fast=False):
-    """Run p implicit squaring steps on the pencil (a, b).
+    """Run p implicit squaring steps on the pencil (a, b): the p-th run of `irs_iter`.
 
     Requires ``p >= 1``. The result satisfies
     ``a_p^-1 b_p = (a^-1 b)^(2^p)`` up to roundoff, with per-step
@@ -156,13 +173,7 @@ def irs(a, b, p, fast=False):
     """
     if p < 1:
         raise ShapeError(f"irs requires p >= 1, got {p}")
-    pencil = Pencil(a, b)
-    a_j, b_j = pencil.a, pencil.b
-    trace = []
-    for j in range(p):
-        a_j, b_j, entry = irs_step(a_j, b_j, step_index=j, fast=fast)
-        trace.append(entry)
-    return IRSRun(a_p=a_j, b_p=b_j, trace=tuple(trace), p=p)
+    return next(itertools.islice(irs_iter(a, b, fast=fast), p - 1, None))
 
 
 def explicit_squaring(a, b, p):

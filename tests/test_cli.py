@@ -46,6 +46,15 @@ def test_config_file_rejects_unknown_key(tmp_path):
         cli.main(["run", "--config", str(cfg)])
 
 
+def test_config_file_rejects_bad_value_with_location(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("experiment = toy_identity\nn = 8.0\n")
+    with pytest.raises(SystemExit) as info:
+        cli.main(["run", "--config", str(cfg)])
+    assert str(info.value).startswith(f"{cfg}:2: ")
+    assert "'8.0'" in str(info.value)
+
+
 def test_precision_alias(tmp_path):
     out = tmp_path / "f32"
     rc = cli.main([

@@ -109,6 +109,28 @@ def test_expm_records():
         assert r.err_irs >= 0 and r.err_es >= 0
 
 
+@pytest.mark.parametrize("n, seed", [(8, 0), (16, 2)])
+def test_expm_failed_backend_writes_sentinel_rows(n, seed, tmp_path):
+    # at the default delta = 1e-8 the explicit path overflows in some trials:
+    # the rows are still written, with NaN in the failed column
+    config = small_config(experiment="expm_compare", n=n, trials=2, seed=seed,
+                          delta=1e-8)
+    records = ex.run_expm_experiment(config)
+    assert [r.trial for r in records] == [0, 1]
+    assert any(math.isnan(r.err_es) for r in records)
+    assert all(math.isnan(r.err_irs) or math.isfinite(r.err_irs) for r in records)
+    path = emit.emit_csv(records, tmp_path / "expm_compare.csv", "expm_compare")
+    _, parsed = emit.parse_csv(path)
+    assert [math.isnan(r.err_es) for r in parsed] == [math.isnan(r.err_es) for r in records]
+
+
+def test_annulus_trial_stops_before_oracle_overflow():
+    # 1.048^(2^14) > 1.8e308: the oracle V D^(2^p) V^H overflows at p = 14
+    config = ex.ExperimentConfig(n=16, trials=1, spectrum="annulus", seed=5)
+    records = ex.run_square_experiment(config)
+    assert [r.p for r in records] == list(range(1, 14))
+
+
 def test_expm_consistent_with_library_expm():
     from pencilpow.expm import ExpmConfig, expm as lib_expm, select_scaling
     from pencilpow.harness.generators import gen_ginibre, make_ill_conditioned, rng_from_seed, sample_spectrum

@@ -100,6 +100,17 @@ def test_expm_backend_agreement_on_benign_inputs():
         assert rel_err(implicit, explicit) <= 1e-11
 
 
+def test_expm_s_zero_identical_under_both_backends():
+    m = 0.5 * ginibre(6, rng_for(74)) / 6.0
+    assert expmod.select_scaling(m) == 0
+    explicit = expmod.expm(m, expmod.ExpmConfig(squaring_backend="explicit"))
+    implicit = expmod.expm(m, expmod.ExpmConfig(squaring_backend="irs"))
+    assert np.array_equal(explicit, implicit)
+    forced = expmod.ExpmConfig(squaring_backend="irs", scaling_override=0)
+    assert np.array_equal(expmod.expm(20.0 * m, forced),
+                          expmod.expm(20.0 * m, expmod.ExpmConfig(scaling_override=0)))
+
+
 def test_expm_scaling_override_matches_backends():
     rng = rng_for(73)
     m = 20.0 * ginibre(8, rng)

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import warnings
 
 import numpy as np
@@ -128,6 +130,25 @@ def test_irs_incremental_prefix_is_exact():
     assert np.array_equal(a3, run3.a_p)
     assert np.array_equal(b3, run3.b_p)
     assert run2.trace == run3.trace[:2]
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+def test_irs_iter_runs_equal_irs_bit_for_bit(dtype):
+    pencil, _ = well_conditioned_pencil(6, seed=27)
+    a, b = pencil.a.astype(dtype), pencil.b.astype(dtype)
+    runs = list(itertools.islice(squaring.irs_iter(a, b, fast=True), 4))
+    assert [run.p for run in runs] == [1, 2, 3, 4]
+    for run in runs:
+        direct = squaring.irs(a, b, run.p, fast=True)
+        assert run.a_p.dtype == dtype
+        assert np.array_equal(run.a_p, direct.a_p)
+        assert np.array_equal(run.b_p, direct.b_p)
+        # NaN fast-mode kappas: compare the trace field by field, NaN == NaN
+        for got, want in zip(run.trace, direct.trace):
+            assert np.array_equal(
+                dataclasses.astuple(got), dataclasses.astuple(want), equal_nan=True
+            )
+        assert len(run.trace) == run.p
 
 
 # --- explicit squaring -----------------------------------------------------------
