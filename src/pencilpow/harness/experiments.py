@@ -132,7 +132,7 @@ def _explicit_powers(a, b):
 
 
 def _draw_square_pencil(config, trial):
-    """(A, B) at the configured precision and the oracle of one squaring trial.
+    """(A, B) at the configured precision, the oracle and d of one squaring trial.
 
     One random stream per trial draws A, Haar V and d; B = A V diag(d) V^H
     and the oracle maps p to V D^(2^p) V^H.
@@ -150,7 +150,7 @@ def _draw_square_pencil(config, trial):
         )
     pencil, oracle = build_test_pencil(a, v, d)
     dtype = dtype_for(config.precision)
-    return pencil.a.astype(dtype), pencil.b.astype(dtype), oracle
+    return pencil.a.astype(dtype), pencil.b.astype(dtype), oracle, d
 
 
 def run_square_experiment(config):
@@ -167,15 +167,17 @@ def run_square_experiment(config):
     """
     records = []
     for trial in range(config.trials):
-        a0, b0, oracle = _draw_square_pencil(config, trial)
+        a0, b0, oracle, d_power = _draw_square_pencil(config, trial)
         kappa_in, _ = _kappa_sigma(a0)
         es_powers = _explicit_powers(a0, b0)
         for run in islice(irs_iter(a0, b0, fast=True), config.p_max):
             with np.errstate(over="ignore", invalid="ignore"):  # checked next
                 target = oracle(run.p)
+                d_power = d_power * d_power  # the oracle's own squarings
             if not np.isfinite(target).all():
                 break
-            target_norm = np.linalg.norm(target, 2)
+            # V is unitary: ||V D^(2^p) V^H||_2 = max_i |d_i^(2^p)|
+            target_norm = np.abs(d_power).max()
             err_irs = _rel_err(lambda: implicit_to_explicit(run), target, target_norm)
             err_es = _rel_err(lambda: next(es_powers, None), target, target_norm)
             kappa_ap, sigma_n_ap = _kappa_sigma(run.a_p)
@@ -200,7 +202,7 @@ def run_condition_evolution(config):
     """kappa_2(A_p) per implicit step; no error columns."""
     records = []
     for trial in range(config.trials):
-        a0, b0, _ = _draw_square_pencil(config, trial)
+        a0, b0, _, _ = _draw_square_pencil(config, trial)
         kappa_in, _ = _kappa_sigma(a0)
         for run in islice(irs_iter(a0, b0, fast=True), config.p_max):
             kappa_ap, sigma_n_ap = _kappa_sigma(run.a_p)

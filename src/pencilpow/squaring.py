@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import RankDeficientStackWarning, ShapeError
+from .errors import DomainError, RankDeficientStackWarning, ShapeError
 from .precision import same_precision, square_matrix, unit_roundoff
 
 __all__ = [
@@ -60,7 +60,9 @@ class IRSStepTrace:
 
     ``norm_stack`` is ||(A_j; B_j)||_2, ``sigma_n_stack`` the n-th singular
     value of the factored stack (B_j; -A_j), and ``kappa_a`` / ``kappa_b``
-    the condition numbers of the blocks (NaN in fast mode).
+    the condition numbers of the blocks (NaN in fast mode). The stack's
+    singular values are taken from the step's own triangular factor R_11,
+    which has the same ones (the stack's SVD only when R is non-finite).
     ``rank_warning`` flags sigma_n_stack < n * u * norm_stack, and a zero
     sigma_n_stack (the zero pencil included).
     """
@@ -87,8 +89,10 @@ class IRSRun:
             raise ShapeError(f"trace length {len(self.trace)} != p = {self.p}")
 
 
-def _stack_diagnostics(stack, a_j, b_j, step_index, fast):
-    sv = np.linalg.svd(stack, compute_uv=False)
+def _stack_diagnostics(stack, r11, a_j, b_j, step_index, fast):
+    # sigma(stack) = sigma(R_11), and R_11 is n x n where the stack is 2n x n;
+    # a stack scaled into the subnormal range can leave R non-finite
+    sv = np.linalg.svd(r11 if np.isfinite(r11).all() else stack, compute_uv=False)
     norm_stack = float(sv[0])
     sigma_n = float(sv[-1])
     n = a_j.shape[0]
@@ -136,8 +140,8 @@ def irs_step(a_j, b_j, step_index=0, fast=False):
         raise ShapeError(f"irs_step: blocks differ in size: {a_j.shape} vs {b_j.shape}")
     n = a_j.shape[0]
     stack = np.vstack([b_j, -a_j])
-    trace = _stack_diagnostics(stack, a_j, b_j, step_index, fast)
     qr = kernels.full_qr(stack)
+    trace = _stack_diagnostics(stack, qr.R[:n], a_j, b_j, step_index, fast)
     q12 = qr.Q[:n, n:]
     q22 = qr.Q[n:, n:]
     a_next = kernels.matmul(q12.conj().T, a_j)
@@ -177,13 +181,22 @@ def irs(a, b, p, fast=False):
 
 
 def explicit_squaring(a, b, p):
-    """Form D_0 = a^-1 b and square it p times (p = 0 returns D_0)."""
+    """Form D_0 = a^-1 b and square it p times (p = 0 returns D_0).
+
+    Raises `DomainError` when a product overflows: D_0^(2^j) is then not
+    representable, and a non-finite result would carry no answer.
+    """
     if p < 0:
         raise ShapeError(f"explicit_squaring requires p >= 0, got {p}")
     pencil = Pencil(a, b)
-    d = kernels.matmul(kernels.invert(pencil.a), pencil.b)
-    for _ in range(p):
-        d = kernels.matmul(d, d)
+    inverse = kernels.invert(pencil.a)
+    with np.errstate(over="ignore", invalid="ignore"):  # each power is checked
+        d = kernels.matmul(inverse, pencil.b)
+        for j in range(p + 1):
+            if not np.isfinite(d).all():
+                raise DomainError(f"explicit_squaring: D_0^(2^{j}) overflowed")
+            if j < p:
+                d = kernels.matmul(d, d)
     return d
 
 

@@ -90,6 +90,15 @@ def test_expm_diagonalizable_oracle(backend):
     assert rel_err(result, reference) <= 1e-10
 
 
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+def test_expm_explicit_overflow_raises_domain_error(dtype):
+    # e^800 exceeds both float ranges; the squares overflow instead of
+    # returning a non-finite matrix
+    m = 800 * np.eye(3, dtype=dtype)
+    with pytest.raises(DomainError, match="overflowed"):
+        expmod.expm(m, expmod.ExpmConfig(squaring_backend="explicit"))
+
+
 def test_expm_backend_agreement_on_benign_inputs():
     rng = rng_for(72)
     for _ in range(5):

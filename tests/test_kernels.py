@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from pencilpow.errors import (
     PrecisionMismatchError,
     ShapeError,
 )
+from pencilpow.precision import unit_roundoff
 
 from conftest import ginibre, rel_err, rng_for
 
@@ -211,6 +213,79 @@ def test_invert_singular_error_carries_sigma_min():
     with pytest.raises(NumericallySingularError) as exc:
         kernels.invert(a)
     assert exc.value.sigma_min == 0.0
+
+
+def _reference_invert(a):
+    """Exact SVD guard on every input, then the QR solve: (X or None, sigma_min).
+
+    None marks a rejection: the guard fires, or the QR factors or X are not
+    finite. Otherwise X is ``solve(R, Q^H)``, bit for bit.
+    """
+    n = a.shape[0]
+    sv = np.linalg.svd(a, compute_uv=False)
+    if sv[-1] < n * unit_roundoff(a) * sv[0] or sv[-1] == 0.0:
+        return None, sv[-1]
+    qr = kernels.full_qr(a)
+    with np.errstate(all="ignore"):
+        try:
+            x = np.linalg.solve(qr.R, qr.Q.conj().T)
+        except np.linalg.LinAlgError:
+            return None, sv[-1]
+    if not all(np.isfinite(m).all() for m in (qr.Q, qr.R, x)):
+        return None, sv[-1]
+    return x, sv[-1]
+
+
+def _guard_probe_matrices(n, dtype, rng):
+    """Matrices around the guard's threshold sigma_min / sigma_max = n * u."""
+    u = unit_roundoff(np.dtype(dtype))
+    left, _ = np.linalg.qr(ginibre(n, rng))
+    right, _ = np.linalg.qr(ginibre(n, rng))
+    g = ginibre(n, rng)
+    for ratio in (1e-3, 0.5, 0.99, 1.01, 2.0, 1e3):
+        s = np.geomspace(1.0, ratio * n * u, n)
+        yield f"ratio {ratio}", (left * s) @ right.conj().T
+    yield "zero", np.zeros((n, n))
+    yield "rank one", np.outer(g[:, 0], g[0].conj())
+    tiny = np.finfo(np.dtype(dtype)).tiny
+    yield "subnormal", g * (tiny * 1e-3)
+    yield "near subnormal", g * (tiny * 1e8)
+    # kappa_2 ~ 0.01 / (n u) passes the guard, but for n > 1 the inverse of
+    # this triangle, whose QR factors are itself, overflows
+    t = np.eye(n)
+    t[0, -1] += 0.1 / np.sqrt(n * u)
+    yield "overflowing inverse", 2 * tiny * t
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+@pytest.mark.parametrize("n", [1, 2, 8, 64])
+def test_invert_raises_exactly_where_svd_guard_rejects(n, dtype):
+    # the factor screen may skip the guard SVD only where the guard passes
+    rng = rng_for(100 + n)
+    for _ in range(3):
+        for label, a in _guard_probe_matrices(n, dtype, rng):
+            a = a.astype(dtype)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                want, sigma_min = _reference_invert(a)
+                if want is None:
+                    with pytest.raises(NumericallySingularError) as exc:
+                        kernels.invert(a)
+                    assert exc.value.sigma_min == sigma_min, label
+                else:
+                    got = kernels.invert(a)
+                    assert got.dtype == dtype and np.array_equal(got, want), label
+
+
+def test_invert_skips_guard_svd_when_well_conditioned(monkeypatch):
+    def no_svd(a):
+        raise AssertionError("guard SVD ran")
+
+    monkeypatch.setattr(kernels, "_singular_values", no_svd)
+    for dtype in (np.complex64, np.complex128):
+        a = (ginibre(32, rng_for(16)) + 8 * np.eye(32)).astype(dtype)
+        x = kernels.invert(a)
+        assert np.linalg.norm(x @ a - np.eye(32), 2) <= 1e3 * unit_roundoff(a)
 
 
 def test_invert_rejects_rectangular():

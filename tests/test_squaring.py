@@ -1,17 +1,22 @@
 import dataclasses
 import itertools
+import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from pencilpow import kernels, squaring
 from pencilpow.errors import (
+    DomainError,
     NumericallySingularError,
     RankDeficientStackWarning,
     ShapeError,
 )
 from pencilpow.harness.generators import build_test_pencil, gen_ginibre, gen_haar
+from pencilpow.precision import unit_roundoff
 
 from conftest import ginibre, rel_err, rng_for
 
@@ -80,6 +85,29 @@ def test_irs_step_rank_deficient_stack_warns_and_continues():
         with pytest.warns(RankDeficientStackWarning):
             _, _, tr = squaring.irs_step(a, a.copy())
         assert tr.rank_warning
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+def test_irs_step_trace_matches_stack_svd(dtype):
+    # the trace reads sigma(R_11) off the step's QR; sigma(R_11) = sigma(stack)
+    n = 16
+    u = unit_roundoff(np.dtype(dtype))
+    pencil, _ = well_conditioned_pencil(n, seed=28, r_hi=1.2)
+    unit_circle = (np.eye(2), np.diag([1j, -1]))
+    # scaled into the subnormal range, R comes out non-finite and the trace
+    # falls back to the stack's own SVD
+    scale = 1e-2 * np.finfo(np.dtype(dtype)).tiny
+    subnormal = (scale * unit_circle[0], scale * unit_circle[1])
+    for a, b in [(pencil.a, pencil.b), unit_circle, subnormal]:
+        a, b = a.astype(dtype), b.astype(dtype)
+        for j in range(4):
+            sv = np.linalg.svd(np.vstack([b, -a]), compute_uv=False)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                a, b, tr = squaring.irs_step(a, b, step_index=j, fast=True)
+            tol = 10 * a.shape[0] * u * sv[0]
+            assert abs(tr.norm_stack - sv[0]) <= tol
+            assert abs(tr.sigma_n_stack - sv[-1]) <= tol
 
 
 def test_subnormal_a_p_raises_structured_error():
@@ -175,6 +203,17 @@ def test_explicit_squaring_singular_a():
         squaring.explicit_squaring(np.diag([1.0, 0.0]).astype(complex), np.eye(2), 1)
 
 
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+def test_explicit_squaring_overflow_raises_domain_error(dtype):
+    root = np.sqrt(np.finfo(np.dtype(dtype)).max)
+    eye = np.eye(2, dtype=dtype)
+    # D_0 = 2 root I is finite and its first square overflows; with A = I / root,
+    # D_0 itself does
+    for a, b, p in [(eye, 2 * root * eye, 3), (eye / root, 2 * root * eye, 0)]:
+        with pytest.raises(DomainError, match="overflowed"):
+            squaring.explicit_squaring(a, b, p)
+
+
 # --- implicit_to_explicit -----------------------------------------------------
 
 def test_implicit_to_explicit_trivial():
@@ -191,6 +230,42 @@ def test_implicit_and_explicit_agree():
     run = squaring.irs(pencil.a, pencil.b, 4)
     explicit = squaring.explicit_squaring(pencil.a, pencil.b, 4)
     assert rel_err(squaring.implicit_to_explicit(run), explicit) <= 1e-8
+
+
+def test_concurrent_runs_match_serial_results_and_counts():
+    # README: pure functions plus thread-local counters make concurrent calls
+    # safe; a counter shared across threads would bill one run's kernels to all
+    p, workers, rounds = 5, 4, 5
+    pencils = [well_conditioned_pencil(12, seed=40 + i)[0] for i in range(workers)]
+
+    def work(pencil):
+        with kernels.count_kernels() as counts:
+            run = squaring.irs(pencil.a, pencil.b, p)
+            x = squaring.implicit_to_explicit(run)
+        return x, run.trace, counts
+
+    serial = [work(pencil) for pencil in pencils]
+    start = threading.Barrier(workers)
+
+    def repeat(pencil):
+        start.wait(timeout=60)
+        return [work(pencil) for _ in range(rounds)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        futures = [pool.submit(repeat, pencil) for pencil in pencils]
+        results = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+        pool.shutdown(wait=False, cancel_futures=True)
+    expected = kernels.KernelCounts(matmul=2 * p + 1, qr=p, inv=1)
+    for (x, trace, counts), runs in zip(serial, results):
+        assert counts == expected
+        for x_t, trace_t, counts_t in runs:
+            assert counts_t == expected
+            assert np.array_equal(x_t, x) and trace_t == trace
 
 
 # --- spectral projector -----------------------------------------------------------
