@@ -125,7 +125,7 @@ def expm(m, config=None):
     q, p, s = _final_pencil(m, config)
     if s == 0 or config.squaring_backend == "explicit":
         return explicit_squaring(q, p, s)
-    return implicit_to_explicit(irs(q, p, s, fast=True))
+    return implicit_to_explicit(irs(q, p, s))
 
 
 def _final_pencil(m, config):

@@ -10,6 +10,7 @@ file (--config); explicit flags override file values.
 """
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import fields
@@ -104,10 +105,13 @@ def _emit_bound_report(config, out):
     with open(path, "w") as fh:
         fh.write("p,err_irs,bound_irs,ratio_irs,err_es,bound_es,ratio_es\n")
         for row in report.rows:
-            fh.write(
-                f"{row.p},{row.err_irs:.17g},{row.bound_irs:.17g},{row.ratio_irs:.6g},"
-                f"{row.err_es:.17g},{row.bound_es:.17g},{row.ratio_es:.6g}\n"
-            )
+            cells = (row.err_irs, row.bound_irs, row.ratio_irs,
+                     row.err_es, row.bound_es, row.ratio_es)
+            fh.write(",".join([str(row.p)] + [
+                # a NaN sentinel (a failed step) stays an empty field
+                "" if math.isnan(x) else format(x, spec)
+                for x, spec in zip(cells, (".17g", ".17g", ".6g") * 2)
+            ]) + "\n")
     write_manifest(
         os.path.join(out, "manifest.txt"),
         config,

@@ -8,6 +8,7 @@ V D^(2^p) V^-1 that the problems are constructed from.
 """
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import islice
 
@@ -170,7 +171,7 @@ def run_square_experiment(config):
         a0, b0, oracle, d_power = _draw_square_pencil(config, trial)
         kappa_in, _ = _kappa_sigma(a0)
         es_powers = _explicit_powers(a0, b0)
-        for run in islice(irs_iter(a0, b0, fast=True), config.p_max):
+        for run in islice(irs_iter(a0, b0), config.p_max):
             with np.errstate(over="ignore", invalid="ignore"):  # checked next
                 target = oracle(run.p)
                 d_power = d_power * d_power  # the oracle's own squarings
@@ -204,7 +205,7 @@ def run_condition_evolution(config):
     for trial in range(config.trials):
         a0, b0, _, _ = _draw_square_pencil(config, trial)
         kappa_in, _ = _kappa_sigma(a0)
-        for run in islice(irs_iter(a0, b0, fast=True), config.p_max):
+        for run in islice(irs_iter(a0, b0), config.p_max):
             kappa_ap, sigma_n_ap = _kappa_sigma(run.a_p)
             records.append(
                 TrialRecord(
@@ -247,7 +248,7 @@ def run_expm_experiment(config):
         if s == 0:  # both backends evaluate q(X)^-1 p(X)
             a_s, err_irs = q, err_es
         else:
-            run = irs(q, p, s, fast=True)
+            run = irs(q, p, s)
             a_s = run.a_p
             err_irs = _rel_err(lambda: implicit_to_explicit(run), reference, ref_norm)
         kappa_as, sigma_n_as = _kappa_sigma(a_s)
@@ -276,13 +277,14 @@ class BoundReportRow:
     err_es: float
     bound_es: float
 
+    # a NaN error (a failed step) gives a NaN ratio, a zero error an infinite one
     @property
     def ratio_irs(self):
-        return self.bound_irs / self.err_irs if self.err_irs > 0 else float("inf")
+        return self.bound_irs / self.err_irs if self.err_irs != 0 else float("inf")
 
     @property
     def ratio_es(self):
-        return self.bound_es / self.err_es if self.err_es > 0 else float("inf")
+        return self.bound_es / self.err_es if self.err_es != 0 else float("inf")
 
 
 @dataclass(frozen=True)
@@ -318,16 +320,16 @@ def run_bound_report(config):
     """Evaluate measured errors against the theoretical forward bounds.
 
     A single oracle-checkable pencil is built (Haar V, diagonal with moduli
-    in [0.5, 1], well-conditioned Gaussian A) and both algorithms run for
-    p = 1 .. p_max. For each p the implicit-path bound (three terms, using
-    the measured sigma_n(A_p), ||B_p||_2 and kappa_2(A_p)) and the explicit
-    recursion bound are evaluated with mu(n) = n^2 and a unit constant on
-    the kappa^log(n) inversion factor. Instrumented kernel counters for the
-    full p_max runs are included so the arithmetic-cost identities
+    in [0.9, 1.1], Gaussian A) and both algorithms run for p = 1 .. p_max,
+    stopping before the first p whose oracle is not finite. For each p the
+    implicit-path bound (three terms, using the measured sigma_n(A_p),
+    ||B_p||_2 and kappa_2(A_p)) and the explicit recursion bound are
+    evaluated with mu(n) = n^2 and a unit constant on the kappa^log(n)
+    inversion factor; an error is NaN where its conversion raised.
+    Instrumented kernel counters for the full p_max runs (up to a raise)
+    check the arithmetic-cost identities
 
         explicit: 1 INV + (p+1) MM      implicit: 1 INV + p QR + (2p+1) MM
-
-    can be checked exactly.
     """
     n = config.n
     u = unit_roundoff(config.precision)
@@ -351,14 +353,16 @@ def run_bound_report(config):
     delta0 = tau * stack_norm * (sigma_n_a + norm_b) / (sigma_n_a - tau * stack_norm)
 
     rows = []
-    runs = islice(irs_iter(a0, b0, fast=True), config.p_max)
+    runs = islice(irs_iter(a0, b0), config.p_max)
     for run, d_es in zip(runs, _explicit_powers(a0, b0)):
         p = run.p
-        target = oracle(p)
-        err_irs = float(
-            np.linalg.norm(np.asarray(implicit_to_explicit(run), dtype=np.complex128) - target, 2)
-        )
-        err_es = float(np.linalg.norm(np.asarray(d_es, dtype=np.complex128) - target, 2))
+        with np.errstate(over="ignore", invalid="ignore"):  # checked next
+            target = oracle(p)
+        if not np.isfinite(target).all():
+            break
+        # absolute errors (unit oracle norm); NaN where a conversion failed
+        err_irs = _rel_err(lambda: implicit_to_explicit(run), target, 1.0)
+        err_es = _rel_err(lambda: d_es, target, 1.0)
 
         kappa_ap, sigma_ap = _kappa_sigma(run.a_p)
         norm_bp = kernels.spectral_norm(run.b_p)
@@ -385,9 +389,9 @@ def run_bound_report(config):
                            err_es=err_es, bound_es=bound_es)
         )
 
-    with kernels.count_kernels() as flops_irs:
-        implicit_to_explicit(irs(a0, b0, config.p_max, fast=True))
-    with kernels.count_kernels() as flops_es:
+    with kernels.count_kernels() as flops_irs, suppress(NumericallySingularError, DomainError):
+        implicit_to_explicit(irs(a0, b0, config.p_max))
+    with kernels.count_kernels() as flops_es, suppress(NumericallySingularError, DomainError):
         explicit_squaring(a0, b0, config.p_max)
     expected_irs = kernels.KernelCounts(
         matmul=2 * config.p_max + 1, qr=config.p_max, inv=1

@@ -49,20 +49,14 @@ class Pencil:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
-    @property
-    def n(self):
-        return self.a.shape[0]
-
 
 @dataclass(frozen=True)
 class IRSStepTrace:
-    """Per-step diagnostics, measured on the step's inputs (A_j, B_j).
+    """What one step measured on its stack (B_j; -A_j): no block condition numbers.
 
-    ``norm_stack`` is ||(A_j; B_j)||_2, ``sigma_n_stack`` the n-th singular
-    value of the factored stack (B_j; -A_j), and ``kappa_a`` / ``kappa_b``
-    the condition numbers of the blocks (NaN in fast mode). The stack's
-    singular values are taken from the step's own triangular factor R_11,
-    which has the same ones (the stack's SVD only when R is non-finite).
+    ``norm_stack`` is ||(A_j; B_j)||_2 and ``sigma_n_stack`` the stack's n-th
+    singular value, both from the step's triangular factor R_11, which has
+    the stack's singular values (the stack's own when R is non-finite).
     ``rank_warning`` flags sigma_n_stack < n * u * norm_stack, and a zero
     sigma_n_stack (the zero pencil included).
     """
@@ -70,8 +64,6 @@ class IRSStepTrace:
     step_index: int
     norm_stack: float
     sigma_n_stack: float
-    kappa_a: float
-    kappa_b: float
     rank_warning: bool = False
 
 
@@ -82,21 +74,19 @@ class IRSRun:
     a_p: np.ndarray
     b_p: np.ndarray
     trace: tuple
-    p: int
 
-    def __post_init__(self):
-        if len(self.trace) != self.p:
-            raise ShapeError(f"trace length {len(self.trace)} != p = {self.p}")
+    @property
+    def p(self):  # one trace entry per step
+        return len(self.trace)
 
 
-def _stack_diagnostics(stack, r11, a_j, b_j, step_index, fast):
+def _stack_diagnostics(stack, r11, step_index):
     # sigma(stack) = sigma(R_11), and R_11 is n x n where the stack is 2n x n;
     # a stack scaled into the subnormal range can leave R non-finite
     sv = np.linalg.svd(r11 if np.isfinite(r11).all() else stack, compute_uv=False)
-    norm_stack = float(sv[0])
-    sigma_n = float(sv[-1])
-    n = a_j.shape[0]
-    warn = sigma_n < n * unit_roundoff(a_j) * norm_stack or sigma_n == 0.0
+    norm_stack, sigma_n = float(sv[0]), float(sv[-1])
+    n = r11.shape[0]
+    warn = sigma_n < n * unit_roundoff(stack) * norm_stack or sigma_n == 0.0
     if warn:
         warnings.warn(
             f"implicit squaring step {step_index}: stacked block is numerically "
@@ -104,34 +94,27 @@ def _stack_diagnostics(stack, r11, a_j, b_j, step_index, fast):
             RankDeficientStackWarning,
             stacklevel=3,
         )
-    if fast:
-        kappa_a = kappa_b = float("nan")
-    else:
-        kappa_a, _ = kernels._kappa_sigma(a_j)
-        kappa_b, _ = kernels._kappa_sigma(b_j)
     return IRSStepTrace(
         step_index=step_index,
         norm_stack=norm_stack,
         sigma_n_stack=sigma_n,
-        kappa_a=kappa_a,
-        kappa_b=kappa_b,
         rank_warning=warn,
     )
 
 
-def irs_step(a_j, b_j, step_index=0, fast=False):
-    """One implicit squaring step.
+def irs_step(a_j, b_j, step_index=0):
+    """One implicit squaring step: one QR, one SVD of R_11, two matmuls.
 
     Parameters
     ----------
     a_j, b_j : (n, n) arrays of matching precision
     step_index : label recorded in the returned trace entry
-    fast : skip the two per-block condition-number SVDs
 
     Returns
     -------
     (a_next, b_next, trace) where ``a_next^-1 b_next = (a_j^-1 b_j)^2``
-    in exact arithmetic.
+    in exact arithmetic; ``trace`` is the step's `IRSStepTrace`, its stack
+    norm, sigma_n and rank flag taken from the n-by-n R_11 of the QR.
     """
     a_j = square_matrix(a_j, "A_j")
     b_j = square_matrix(b_j, "B_j")
@@ -141,7 +124,7 @@ def irs_step(a_j, b_j, step_index=0, fast=False):
     n = a_j.shape[0]
     stack = np.vstack([b_j, -a_j])
     qr = kernels.full_qr(stack)
-    trace = _stack_diagnostics(stack, qr.R[:n], a_j, b_j, step_index, fast)
+    trace = _stack_diagnostics(stack, qr.R[:n], step_index)
     q12 = qr.Q[:n, n:]
     q22 = qr.Q[n:, n:]
     a_next = kernels.matmul(q12.conj().T, a_j)
@@ -149,7 +132,7 @@ def irs_step(a_j, b_j, step_index=0, fast=False):
     return a_next, b_next, trace
 
 
-def irs_iter(a, b, fast=False):
+def irs_iter(a, b):
     """Yield the `IRSRun` after each implicit squaring step, p = 1, 2, ...
 
     This is the one loop over `irs_step`: each step advances the previous
@@ -161,23 +144,23 @@ def irs_iter(a, b, fast=False):
     a_j, b_j = pencil.a, pencil.b
     trace = ()
     for j in itertools.count():
-        a_j, b_j, entry = irs_step(a_j, b_j, step_index=j, fast=fast)
+        a_j, b_j, entry = irs_step(a_j, b_j, step_index=j)
         trace += (entry,)
-        yield IRSRun(a_p=a_j, b_p=b_j, trace=trace, p=j + 1)
+        yield IRSRun(a_p=a_j, b_p=b_j, trace=trace)
 
 
-def irs(a, b, p, fast=False):
+def irs(a, b, p):
     """Run p implicit squaring steps on the pencil (a, b): the p-th run of `irs_iter`.
 
     Requires ``p >= 1``. The result satisfies
-    ``a_p^-1 b_p = (a^-1 b)^(2^p)`` up to roundoff, with per-step
-    diagnostics in ``trace`` (one entry per step, measured on that step's
-    inputs). A rank-deficient stack triggers a `RankDeficientStackWarning`
+    ``a_p^-1 b_p = (a^-1 b)^(2^p)`` up to roundoff, with one `IRSStepTrace`
+    per step in ``trace``: the norm, sigma_n and rank flag of that step's
+    stack. A rank-deficient stack triggers a `RankDeficientStackWarning`
     and a trace flag; the iteration continues.
     """
     if p < 1:
         raise ShapeError(f"irs requires p >= 1, got {p}")
-    return next(itertools.islice(irs_iter(a, b, fast=fast), p - 1, None))
+    return next(itertools.islice(irs_iter(a, b), p - 1, None))
 
 
 def explicit_squaring(a, b, p):
@@ -189,15 +172,19 @@ def explicit_squaring(a, b, p):
     if p < 0:
         raise ShapeError(f"explicit_squaring requires p >= 0, got {p}")
     pencil = Pencil(a, b)
-    inverse = kernels.invert(pencil.a)
-    with np.errstate(over="ignore", invalid="ignore"):  # each power is checked
-        d = kernels.matmul(inverse, pencil.b)
-        for j in range(p + 1):
-            if not np.isfinite(d).all():
-                raise DomainError(f"explicit_squaring: D_0^(2^{j}) overflowed")
-            if j < p:
-                d = kernels.matmul(d, d)
+    d = _product(kernels.invert(pencil.a), pencil.b, "explicit_squaring: D_0")
+    for j in range(1, p + 1):
+        d = _product(d, d, f"explicit_squaring: D_0^(2^{j})")
     return d
+
+
+def _product(x, y, name):
+    """``x @ y``, raising `DomainError` when it overflows to a non-finite matrix."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked next
+        out = kernels.matmul(x, y)
+    if not np.isfinite(out).all():
+        raise DomainError(f"{name} overflowed")
+    return out
 
 
 def implicit_to_explicit(run):
@@ -205,9 +192,10 @@ def implicit_to_explicit(run):
 
     Raises `NumericallySingularError` (carrying the sigma_min estimate) when
     a_p is numerically singular, the regime where an eigenvalue of the
-    original pencil inside the unit disk has collapsed sigma_n(A_p).
+    original pencil inside the unit disk has collapsed sigma_n(A_p). Raises
+    `DomainError` when the product overflows, as `explicit_squaring` does.
     """
-    return kernels.matmul(kernels.invert(run.a_p), run.b_p)
+    return _product(kernels.invert(run.a_p), run.b_p, "implicit_to_explicit: a_p^-1 b_p")
 
 
 def spectral_projector(run):

@@ -1,7 +1,9 @@
+import warnings
 import xml.etree.ElementTree as ET
 
 import pytest
 
+from pencilpow.errors import RankDeficientStackWarning
 from pencilpow.harness import cli
 from pencilpow.harness.emit import parse_csv
 
@@ -82,3 +84,17 @@ def test_run_bound_report_experiment(tmp_path):
     ])
     assert rc == 0
     assert (out / "bound_report.csv").exists()
+
+
+def test_bounds_singular_a_p_writes_empty_fields(tmp_path):
+    # A_10 of this pencil is numerically singular: the implicit error and its
+    # ratio are sentinels, written as empty fields, and the report carries on
+    out = tmp_path / "bounds"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RankDeficientStackWarning)
+        rc = cli.main(["bounds", "--n", "16", "--p-max", "10", "--seed", "0", "--out", str(out)])
+    assert rc == 0
+    rows = [line.split(",") for line in (out / "bound_report.csv").read_text().splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == list(range(1, 11))
+    assert rows[-1][1] == "" and rows[-1][3] == ""
+    assert all(row[4] for row in rows)  # the explicit path still has every error
