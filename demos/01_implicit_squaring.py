@@ -37,9 +37,9 @@ for run in islice(irs_iter(pencil.a, pencil.b), p_max):
     err_es = np.linalg.norm(explicit_squaring(pencil.a, pencil.b, p) - target, 2) / target_norm
     print(f"{p:>3} {err_irs:>18.3e} {err_es:>18.3e}")
 
-# the per-step trace of the last run records what each step measured on its
-# stack
+# the per-step trace of the last run records what each step certified about
+# its stack: ||(A_j;B_j)||_2 <= ||R_11||_F and sigma_n >= 1/||R_11^-1||_F
 print("\nper-step diagnostics of the full run:")
-print(f"{'j':>3} {'||(A_j;B_j)||':>14} {'sigma_n(stack)':>15} {'kappa(A_j)':>12}")
+print(f"{'j':>3} {'||(A_j;B_j)||_2 <=':>19} {'sigma_n(stack) >=':>18} {'kappa(A_j)':>12}")
 for t, kappa in zip(run.trace, kappa_a):
-    print(f"{t.step_index:>3} {t.norm_stack:>14.4f} {t.sigma_n_stack:>15.4e} {kappa:>12.1f}")
+    print(f"{t.step_index:>3} {t.norm_stack_ub:>19.4f} {t.sigma_n_lb:>18.4e} {kappa:>12.1f}")

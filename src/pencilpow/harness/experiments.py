@@ -20,7 +20,7 @@ from ..errors import DomainError, NumericallySingularError
 from ..expm import ExpmConfig, _final_pencil
 from ..kernels import _kappa_sigma
 from ..precision import dtype_for, unit_roundoff
-from ..squaring import explicit_squaring, implicit_to_explicit, irs, irs_iter
+from ..squaring import explicit_iter, explicit_squaring, implicit_to_explicit, irs, irs_iter
 from .generators import (
     build_test_pencil,
     gen_ginibre,
@@ -113,7 +113,7 @@ def _rel_err(compute, oracle, oracle_norm):
 
     NaN (the sentinel) when the computation raises `NumericallySingularError`
     or `DomainError`, returns a non-finite matrix, or returns None (an
-    exhausted `_explicit_powers`, whose path failed at an earlier step).
+    exhausted `explicit_iter`, whose path failed at an earlier step).
     """
     try:
         x = compute()
@@ -122,14 +122,6 @@ def _rel_err(compute, oracle, oracle_norm):
     if x is None or not np.isfinite(x).all():
         return float("nan")
     return float(np.linalg.norm(np.asarray(x, dtype=np.complex128) - oracle, 2) / oracle_norm)
-
-
-def _explicit_powers(a, b):
-    """Yield D_0^(2^p) for p = 1, 2, ...: D_0 = a^-1 b, squared once per step."""
-    d = kernels.matmul(kernels.invert(a), b)
-    while True:
-        d = kernels.matmul(d, d)
-        yield d
 
 
 def _draw_square_pencil(config, trial):
@@ -170,7 +162,7 @@ def run_square_experiment(config):
     for trial in range(config.trials):
         a0, b0, oracle, d_power = _draw_square_pencil(config, trial)
         kappa_in, _ = _kappa_sigma(a0)
-        es_powers = _explicit_powers(a0, b0)
+        es_powers = explicit_iter(a0, b0)
         for run in islice(irs_iter(a0, b0), config.p_max):
             with np.errstate(over="ignore", invalid="ignore"):  # checked next
                 target = oracle(run.p)
@@ -353,8 +345,8 @@ def run_bound_report(config):
     delta0 = tau * stack_norm * (sigma_n_a + norm_b) / (sigma_n_a - tau * stack_norm)
 
     rows = []
-    runs = islice(irs_iter(a0, b0), config.p_max)
-    for run, d_es in zip(runs, _explicit_powers(a0, b0)):
+    es_powers = explicit_iter(a0, b0)
+    for run in islice(irs_iter(a0, b0), config.p_max):
         p = run.p
         with np.errstate(over="ignore", invalid="ignore"):  # checked next
             target = oracle(p)
@@ -362,7 +354,7 @@ def run_bound_report(config):
             break
         # absolute errors (unit oracle norm); NaN where a conversion failed
         err_irs = _rel_err(lambda: implicit_to_explicit(run), target, 1.0)
-        err_es = _rel_err(lambda: d_es, target, 1.0)
+        err_es = _rel_err(lambda: next(es_powers, None), target, 1.0)
 
         kappa_ap, sigma_ap = _kappa_sigma(run.a_p)
         norm_bp = kernels.spectral_norm(run.b_p)

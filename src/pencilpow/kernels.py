@@ -159,11 +159,14 @@ def _positive_qr(a, mode):
     diag = np.diagonal(r)[:n].copy()
     mags = np.abs(diag)
     safe = np.where(mags == 0, 1.0, mags)
-    phases = np.where(mags == 0, np.asarray(1.0, dtype=a.dtype), diag / safe)
-    r[:n, :] *= phases.conj()[:, None]
-    idx = np.arange(n)
-    r[idx, idx] = mags  # bit-exact real diagonal
-    q[:, :n] *= phases[None, :]
+    # a subnormal diagonal entry can give a non-finite phase; invert and
+    # irs_step check their factors for non-finite values instead of warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        phases = np.where(mags == 0, np.asarray(1.0, dtype=a.dtype), diag / safe)
+        r[:n, :] *= phases.conj()[:, None]
+        idx = np.arange(n)
+        r[idx, idx] = mags  # bit-exact real diagonal
+        q[:, :n] *= phases[None, :]
     return q, r
 
 
@@ -211,6 +214,48 @@ def smallest_singular(a):
     return float(_singular_values(a)[-1])
 
 
+#: `_tri_inv` inverts blocks of at most this order with one ``np.linalg.solve``
+_TRI_INV_BLOCK = 32
+
+
+def _tri_inv(r):
+    """Inverse of an upper-triangular ``r`` by 2x2 block recursion.
+
+    ``[[R1, R12], [0, R2]]^-1 = [[R1^-1, -R1^-1 R12 R2^-1], [0, R2^-1]]``,
+    so above blocks of order `_TRI_INV_BLOCK` the work is matmuls only, the
+    stable building block of Demmel, Dumitriu and Holtz (2007). Smaller
+    blocks go to ``np.linalg.solve``, whose LU of a triangle is exact (L = I),
+    so that is back substitution. Raises ``np.linalg.LinAlgError`` when a
+    diagonal entry is exactly zero. Not tallied: it serves diagnostics, not
+    the algorithm's cost model.
+    """
+    n = r.shape[0]
+    if n <= _TRI_INV_BLOCK:
+        return np.linalg.solve(r, np.eye(n, dtype=r.dtype))
+    h = n // 2
+    x = np.zeros_like(r)
+    x[:h, :h] = _tri_inv(r[:h, :h])
+    x[h:, h:] = _tri_inv(r[h:, h:])
+    x[:h, h:] = -(x[:h, :h] @ r[:h, h:]) @ x[h:, h:]
+    return x
+
+
+def _screen_passes(r, r_inv):
+    """Whether ``||r||_F ||r_inv||_F < 1 / (n^2 u)``, with every value finite.
+
+    ``r_inv`` is r^-1, or any matrix with the same Frobenius norm, such as
+    ``R^-1 Q^H``. Since ``sigma_n(r) >= 1 / ||r^-1||_F`` and
+    ``||r||_2 <= ||r||_F``, a pass certifies ``sigma_n(r) > n u ||r||_2``
+    with a spare factor n that covers the rounding in the computed inverse:
+    the rank threshold that `invert` and `irs_step` apply is never met. A
+    NaN or inf in either matrix makes its norm non-finite, which fails.
+    """
+    n = r.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite product fails
+        product = np.linalg.norm(r) * np.linalg.norm(r_inv)
+    return bool(product < 1.0 / (n * n * unit_roundoff(r)))
+
+
 def invert(a):
     """Inverse of a square matrix via complete QR and a triangular solve.
 
@@ -225,10 +270,11 @@ def invert(a):
     pool rather than waking scipy's second one.
 
     The singularity guard needs an SVD of ``a`` only near its threshold. The
-    factors screen it first: ``kappa_2(a) <= ||R||_F ||R^-1||_F``, so a
-    finite X with ``||R||_F ||X||_F < 1 / (n^2 u)`` lies a factor n inside
-    the guard's ``1 / (n u)`` and is returned without one. Any other input
-    runs the exact guard, so the error fires on the same inputs either way.
+    factors screen it first: ``kappa_2(a) = kappa_2(R)`` and
+    ``||X||_F = ||R^-1||_F``, so finite factors and X that pass
+    `_screen_passes` (``||R||_F ||X||_F < 1 / (n^2 u)``, a factor n inside
+    the guard's ``1 / (n u)``) are returned without one. Any other input runs
+    the exact guard, so the error fires on the same inputs either way.
     """
     a = square_matrix(a, "a")
     n = a.shape[0]
@@ -249,7 +295,7 @@ def invert(a):
             and np.isfinite(qr.R).all()
             and np.isfinite(qr.Q).all()
         )
-        if finite and np.linalg.norm(qr.R) * np.linalg.norm(x) < 1.0 / (n * n * u):
+        if finite and _screen_passes(qr.R, x):
             return np.ascontiguousarray(x)
     sv = _singular_values(a)
     if sv[-1] < n * u * sv[0] or sv[-1] == 0.0:

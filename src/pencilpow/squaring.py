@@ -27,6 +27,7 @@ __all__ = [
     "irs_step",
     "irs_iter",
     "irs",
+    "explicit_iter",
     "explicit_squaring",
     "implicit_to_explicit",
     "spectral_projector",
@@ -52,18 +53,22 @@ class Pencil:
 
 @dataclass(frozen=True)
 class IRSStepTrace:
-    """What one step measured on its stack (B_j; -A_j): no block condition numbers.
+    """What one step measured on its stack (B_j; -A_j): certified bounds.
 
-    ``norm_stack`` is ||(A_j; B_j)||_2 and ``sigma_n_stack`` the stack's n-th
-    singular value, both from the step's triangular factor R_11, which has
-    the stack's singular values (the stack's own when R is non-finite).
-    ``rank_warning`` flags sigma_n_stack < n * u * norm_stack, and a zero
-    sigma_n_stack (the zero pencil included).
+    The step's triangular factor R_11 has the stack's singular values.
+    ``norm_stack_ub = ||R_11||_F`` bounds ||(A_j; B_j)||_2 from above and
+    ``sigma_n_lb = 1 / ||R_11^-1||_F`` bounds the stack's n-th singular value
+    from below, each within a factor sqrt(n) of the exact value, from a
+    matmul-only inverse of R_11. When these bounds cannot rule out the rank
+    flag, an exact SVD of R_11 (of the stack when R is non-finite) decides
+    it, and the two fields hold its exact sigma_1 and sigma_n.
+    ``rank_warning`` flags sigma_n < n * u * ||stack||_2, and a zero sigma_n
+    (the zero pencil included): it fires exactly where that SVD says so.
     """
 
     step_index: int
-    norm_stack: float
-    sigma_n_stack: float
+    norm_stack_ub: float
+    sigma_n_lb: float
     rank_warning: bool = False
 
 
@@ -83,7 +88,21 @@ class IRSRun:
 def _stack_diagnostics(stack, r11, step_index):
     # sigma(stack) = sigma(R_11), and R_11 is n x n where the stack is 2n x n;
     # a stack scaled into the subnormal range can leave R non-finite
-    sv = np.linalg.svd(r11 if np.isfinite(r11).all() else stack, compute_uv=False)
+    finite = np.isfinite(r11).all()
+    if finite:
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the screen
+            try:
+                r_inv = kernels._tri_inv(r11)
+            except np.linalg.LinAlgError:  # an exactly zero diagonal entry
+                r_inv = None
+        if r_inv is not None and kernels._screen_passes(r11, r_inv):
+            return IRSStepTrace(
+                step_index=step_index,
+                norm_stack_ub=float(np.linalg.norm(r11)),
+                sigma_n_lb=float(1.0 / np.linalg.norm(r_inv)),
+            )
+    # the screen cannot decide: the exact singular values do
+    sv = np.linalg.svd(r11 if finite else stack, compute_uv=False)
     norm_stack, sigma_n = float(sv[0]), float(sv[-1])
     n = r11.shape[0]
     warn = sigma_n < n * unit_roundoff(stack) * norm_stack or sigma_n == 0.0
@@ -96,14 +115,14 @@ def _stack_diagnostics(stack, r11, step_index):
         )
     return IRSStepTrace(
         step_index=step_index,
-        norm_stack=norm_stack,
-        sigma_n_stack=sigma_n,
+        norm_stack_ub=norm_stack,
+        sigma_n_lb=sigma_n,
         rank_warning=warn,
     )
 
 
 def irs_step(a_j, b_j, step_index=0):
-    """One implicit squaring step: one QR, one SVD of R_11, two matmuls.
+    """One implicit squaring step: one QR and two matmuls, plus its diagnostics.
 
     Parameters
     ----------
@@ -113,8 +132,12 @@ def irs_step(a_j, b_j, step_index=0):
     Returns
     -------
     (a_next, b_next, trace) where ``a_next^-1 b_next = (a_j^-1 b_j)^2``
-    in exact arithmetic; ``trace`` is the step's `IRSStepTrace`, its stack
-    norm, sigma_n and rank flag taken from the n-by-n R_11 of the QR.
+    in exact arithmetic; ``trace`` is the step's `IRSStepTrace`: bounds on
+    its stack norm and sigma_n, and its rank flag, from the n-by-n R_11 of
+    the QR. A block-recursive (matmul-only) inverse of R_11 certifies a
+    full-rank stack; only a stack that screen cannot decide takes one SVD of
+    R_11, so the flag and `RankDeficientStackWarning` fire exactly where
+    that SVD says the stack is rank deficient.
     """
     a_j = square_matrix(a_j, "A_j")
     b_j = square_matrix(b_j, "B_j")
@@ -154,28 +177,46 @@ def irs(a, b, p):
 
     Requires ``p >= 1``. The result satisfies
     ``a_p^-1 b_p = (a^-1 b)^(2^p)`` up to roundoff, with one `IRSStepTrace`
-    per step in ``trace``: the norm, sigma_n and rank flag of that step's
-    stack. A rank-deficient stack triggers a `RankDeficientStackWarning`
-    and a trace flag; the iteration continues.
+    per step in ``trace``: bounds on the norm and sigma_n of that step's
+    stack, and its rank flag. A rank-deficient stack triggers a
+    `RankDeficientStackWarning` and a trace flag; the iteration continues.
     """
     if p < 1:
         raise ShapeError(f"irs requires p >= 1, got {p}")
     return next(itertools.islice(irs_iter(a, b), p - 1, None))
 
 
-def explicit_squaring(a, b, p):
-    """Form D_0 = a^-1 b and square it p times (p = 0 returns D_0).
+def explicit_iter(a, b):
+    """Yield D_0^(2^p) for p = 1, 2, ..., where D_0 = a^-1 b is squared once per step.
 
-    Raises `DomainError` when a product overflows: D_0^(2^j) is then not
-    representable, and a non-finite result would carry no answer.
+    The one loop of explicit squaring. Raises `DomainError` when a product
+    overflows: D_0^(2^j) is then not representable, and a non-finite result
+    would carry no answer. The generator is unbounded; bound it with
+    ``itertools.islice``. The pencil is validated and D_0 formed when the
+    first power is requested.
+    """
+    d = _explicit_d0(a, b)
+    for j in itertools.count(1):
+        d = _product(d, d, f"explicit_squaring: D_0^(2^{j})")
+        yield d
+
+
+def explicit_squaring(a, b, p):
+    """Form D_0 = a^-1 b and square it p times: the p-th value of `explicit_iter`.
+
+    p = 0 returns D_0. Raises `DomainError` when a product overflows, as
+    `explicit_iter` does.
     """
     if p < 0:
         raise ShapeError(f"explicit_squaring requires p >= 0, got {p}")
+    if p == 0:
+        return _explicit_d0(a, b)
+    return next(itertools.islice(explicit_iter(a, b), p - 1, None))
+
+
+def _explicit_d0(a, b):
     pencil = Pencil(a, b)
-    d = _product(kernels.invert(pencil.a), pencil.b, "explicit_squaring: D_0")
-    for j in range(1, p + 1):
-        d = _product(d, d, f"explicit_squaring: D_0^(2^{j})")
-    return d
+    return _product(kernels.invert(pencil.a), pencil.b, "explicit_squaring: D_0")
 
 
 def _product(x, y, name):

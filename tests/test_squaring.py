@@ -66,13 +66,14 @@ def test_irs_step_trace_fields():
     pencil, _ = well_conditioned_pencil(4, seed=22)
     _, _, tr = squaring.irs_step(pencil.a, pencil.b, step_index=3)
     assert tr.step_index == 3
-    assert tr.sigma_n_stack <= tr.norm_stack
+    assert tr.sigma_n_lb <= tr.norm_stack_ub
     assert not tr.rank_warning
 
 
-def test_irs_step_takes_one_svd(monkeypatch):
-    # the paper's step is one QR and two matmuls; its trace needs only the
-    # singular values of R_11, so a step takes exactly one SVD
+def test_irs_step_takes_svd_only_when_screen_inconclusive(monkeypatch):
+    # the paper's step is one QR and two matmuls; a matmul-only inverse of
+    # R_11 certifies a full-rank stack, and only a stack it cannot decide
+    # takes one SVD, of the n x n R_11
     pencil, _ = well_conditioned_pencil(8, seed=23)
     calls = []
     svd = np.linalg.svd
@@ -83,6 +84,11 @@ def test_irs_step_takes_one_svd(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counted)
     squaring.irs_step(pencil.a, pencil.b)
+    assert calls == []
+    rank_one = np.zeros((8, 8), dtype=complex)
+    rank_one[0, 0] = 1.0
+    with pytest.warns(RankDeficientStackWarning):
+        squaring.irs_step(rank_one, rank_one.copy())
     assert calls == [(8, 8)]
 
 
@@ -96,7 +102,8 @@ def test_irs_step_rank_deficient_stack_warns_and_continues():
 
 @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
 def test_irs_step_trace_matches_stack_svd(dtype):
-    # the trace reads sigma(R_11) off the step's QR; sigma(R_11) = sigma(stack)
+    # the trace bounds sigma(R_11) = sigma(stack) by ||R_11||_F and
+    # 1 / ||R_11^-1||_F, each within sqrt(n); the exact SVD's values where it ran
     n = 16
     u = unit_roundoff(np.dtype(dtype))
     pencil, _ = well_conditioned_pencil(n, seed=28, r_hi=1.2)
@@ -105,16 +112,65 @@ def test_irs_step_trace_matches_stack_svd(dtype):
     # falls back to the stack's own SVD
     scale = 1e-2 * np.finfo(np.dtype(dtype)).tiny
     subnormal = (scale * unit_circle[0], scale * unit_circle[1])
-    for a, b in [(pencil.a, pencil.b), unit_circle, subnormal]:
+    for (a, b), exact in [((pencil.a, pencil.b), False), (unit_circle, False), (subnormal, True)]:
         a, b = a.astype(dtype), b.astype(dtype)
         for j in range(4):
             sv = np.linalg.svd(np.vstack([b, -a]), compute_uv=False)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                a, b, tr = squaring.irs_step(a, b, step_index=j)
+            a, b, tr = squaring.irs_step(a, b, step_index=j)
+            root_n = np.sqrt(a.shape[0])
             tol = 10 * a.shape[0] * u * sv[0]
-            assert abs(tr.norm_stack - sv[0]) <= tol
-            assert abs(tr.sigma_n_stack - sv[-1]) <= tol
+            assert sv[0] - tol <= tr.norm_stack_ub <= root_n * sv[0] + tol
+            assert sv[-1] / root_n - tol <= tr.sigma_n_lb <= sv[-1] + tol
+            if exact:
+                assert abs(tr.norm_stack_ub - sv[0]) <= tol
+                assert abs(tr.sigma_n_lb - sv[-1]) <= tol
+
+
+def _reference_stack_flag(a, b):
+    """The rank flag from an exact SVD on every stack: R_11's, or the stack's
+    when R is non-finite, as `irs_step` decides where its screen cannot."""
+    n = a.shape[0]
+    stack = np.vstack([b, -a])
+    r11 = kernels.full_qr(stack).R[:n]
+    finite = np.isfinite(r11).all()
+    sv = np.linalg.svd(r11 if finite else stack, compute_uv=False)
+    return bool(sv[-1] < n * unit_roundoff(stack) * sv[0] or sv[-1] == 0.0)
+
+
+def _stack_probe_pencils(n, dtype, rng):
+    """(A, B) whose stacks (B; -A) straddle the threshold sigma_n / sigma_1 = n * u."""
+    u = unit_roundoff(np.dtype(dtype))
+    left, _ = np.linalg.qr(ginibre(2 * n, rng, m=n))
+    right, _ = np.linalg.qr(ginibre(n, rng))
+    g = ginibre(2 * n, rng, m=n)
+    stacks = []
+    for ratio in (1e-3, 0.5, 0.99, 1.01, 2.0, 1e3):
+        s = np.geomspace(1.0, ratio * n * u, n)
+        stacks.append((f"ratio {ratio}", (left * s) @ right.conj().T))
+    stacks.append(("zero", np.zeros((2 * n, n))))
+    stacks.append(("rank one", np.outer(g[:, 0], g[0].conj())))
+    stacks.append(("subnormal", g * (np.finfo(np.dtype(dtype)).tiny * 1e-3)))
+    for label, stack in stacks:
+        stack = stack.astype(dtype)
+        yield label, -stack[n:], stack[:n]
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+@pytest.mark.parametrize("n", [1, 2, 8, 64])
+def test_irs_step_flags_exactly_where_svd_reference_does(n, dtype):
+    # the screen may skip the SVD only where the SVD would not flag the stack
+    rng = rng_for(200 + n)
+    for _ in range(3):
+        for label, a, b in _stack_probe_pencils(n, dtype, rng):
+            want = _reference_stack_flag(a, b)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                a_next, b_next, tr = squaring.irs_step(a, b)
+            flagged = [w for w in caught if issubclass(w.category, RankDeficientStackWarning)]
+            assert tr.rank_warning == want, label
+            assert len(flagged) == int(want), label
+            assert len(caught) == len(flagged), (label, [str(w.message) for w in caught])
+            assert a_next.dtype == dtype and b_next.dtype == dtype
 
 
 def test_subnormal_a_p_raises_structured_error():
@@ -332,7 +388,7 @@ def test_norm_growth_per_step():
     pencil, _ = well_conditioned_pencil(8, seed=35)
     run = squaring.irs(pencil.a, pencil.b, 5)
     factor = (1 + 10 * 8 * U64) ** 2
-    norms = [t.norm_stack for t in run.trace]
+    norms = [t.norm_stack_ub for t in run.trace]
     for j in range(len(norms) - 1):
         assert norms[j + 1] <= factor * norms[j]
 
@@ -347,7 +403,7 @@ def test_stack_sigma_bounded_below_by_mp():
     stack_norm = kernels.spectral_norm(np.vstack([pencil.a, pencil.b]))
     slack = p * 10 * 8 * U64 * stack_norm
     for t in run.trace:
-        assert t.sigma_n_stack >= floor - slack
+        assert t.sigma_n_lb >= floor - slack
 
 
 def test_explicit_error_within_propagation_ceiling():
