@@ -6,6 +6,9 @@ real-nonnegative diagonal normalization, SVD, spectral-norm helpers, and
 QR-based inversion. All functions are pure and dtype-preserving; precision
 (complex64 / complex128) rides on the input arrays.
 
+A tall QR keeps LAPACK's Householder vectors and forms its Q, or only the
+trailing columns of Q, by compact WY products when they are read.
+
 Call counting
 -------------
 `count_kernels` opens a scope in which invocations of `matmul`, `full_qr`
@@ -17,6 +20,7 @@ separately, matching the usual cost model T_INV / T_QR / T_MM.
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,17 +41,56 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FullQR:
-    """Complete QR factorization A = Q R.
+#: order of the diagonal blocks `_tri_inv` inverts with one ``np.linalg.solve``,
+#: and of the reflector blocks `FullQR` applies as one compact WY product each
+_BLOCK = 32
 
-    ``Q`` is m-by-m and unitary to roundoff; ``R`` is m-by-n, exactly upper
-    triangular (the strict lower triangle holds written zeros, not rounded
-    ones) with a real, nonnegative diagonal.
+
+class FullQR:
+    """Complete QR factorization A = Q R of an m-by-n ``A``, m >= n.
+
+    ``R`` is m-by-n, exactly upper triangular (the strict lower triangle
+    holds written zeros, not rounded ones) with a real, nonnegative
+    diagonal. ``Q`` is m-by-m and unitary to roundoff. ``complement`` is
+    ``Q[:, n:]``, the m - n trailing columns, which span the orthogonal
+    complement of range(A) when A has full column rank.
+
+    A square factorization holds LAPACK's complete Q. A tall one holds
+    LAPACK's Householder vectors, in complex128 for either precision, and
+    forms ``Q`` and ``complement`` on first read, each by compact WY products
+    (`_apply_reflectors`) rounded once to R's dtype; reading only
+    ``complement`` never forms the leading n columns. Either way
+    ``Q[:, n:]`` is bit-identical to ``complement``.
     """
 
-    Q: np.ndarray
-    R: np.ndarray
+    def __init__(self, R, Q=None, householder=None):
+        self.R = R
+        self._q = Q
+        # (V, tau, phases) of a tall input: unit lower-trapezoidal V, LAPACK's
+        # tau, and the phases removed from diag(R), owed to Q's leading columns
+        self._householder = householder
+
+    @cached_property
+    def Q(self):
+        if self._q is not None:
+            return self._q
+        v, tau, phases = self._householder
+        m, n = v.shape
+        lead = _apply_reflectors(v, tau, np.eye(m, n, dtype=v.dtype))
+        lead = lead.astype(self.R.dtype, copy=False)
+        with np.errstate(over="ignore", invalid="ignore"):  # as in _positive_qr
+            lead *= phases[None, :]
+        return np.hstack([lead, self.complement])
+
+    @cached_property
+    def complement(self):
+        n = self.R.shape[1]
+        if self._q is not None:
+            return self._q[:, n:]
+        v, tau, _ = self._householder
+        m = v.shape[0]
+        x = _apply_reflectors(v, tau, np.eye(m, m - n, -n, dtype=v.dtype))
+        return x.astype(self.R.dtype, copy=False)
 
 
 @dataclass(frozen=True)
@@ -127,47 +170,113 @@ def full_qr(a):
     so that diag(R) is exactly real and >= 0, the strict lower triangle of R
     is written to exact zeros, and Q R still reconstructs ``a``.
 
+    A square ``a`` gets LAPACK's complete Q at once. A tall one is factored
+    by one ``np.linalg.qr(..., mode="raw")`` call (``?geqrf`` alone), and
+    its Q is formed from the Householder vectors only when read: a caller
+    that needs only the trailing m - n columns reads ``complement`` and never
+    pays for the leading n. Forming Q is part of the one tallied QR, so it
+    uses plain ``@``, not `matmul`.
+
     Parameters
     ----------
     a : (m, n) array, m >= n
 
     Returns
     -------
-    FullQR with Q of shape (m, m) and R of shape (m, n).
+    FullQR with Q of shape (m, m), complement of shape (m, m - n) and R of
+    shape (m, n).
     """
     a = as_matrix(a, "a")
     m, n = a.shape
     if m < n:
         raise ShapeError(f"full_qr requires m >= n, got shape {a.shape}")
     _tally("qr")
-    q, r = _positive_qr(a, "complete")
-    return FullQR(Q=q, R=r)
+    if m == n:
+        q, r = _positive_qr(a, "complete")
+        return FullQR(r, Q=q)
+    # numpy factors complex64 input in complex128 as well; keeping those
+    # reflectors unrounded rounds Q once, as LAPACK's complete Q is rounded
+    h, tau = np.linalg.qr(a.astype(np.complex128, copy=False), mode="raw")
+    factored = h.T  # ?geqrf's output: R on and above the diagonal, V below it
+    r = np.triu(factored).astype(a.dtype, copy=False)
+    phases = _positive_diagonal(r)
+    v = np.tril(factored, -1) + np.eye(m, n, dtype=factored.dtype)
+    return FullQR(r, householder=(v, tau, phases))
 
 
 def _positive_qr(a, mode):
     """``np.linalg.qr(a, mode)`` with the phases of diag(R) moved into Q.
 
-    The one place QR phases are normalized: diag(R) becomes exactly real and
-    >= 0 (a zero diagonal entry keeps phase 1), the strict lower triangle of
-    R is written to exact zeros, and Q R still reconstructs ``a``. Not
-    tallied; `full_qr` bills the call.
+    diag(R) becomes exactly real and >= 0, the strict lower triangle of R is
+    written to exact zeros, and Q R still reconstructs ``a``. Not tallied;
+    `full_qr` bills the call.
     """
     n = a.shape[1]
     # numpy returns fresh arrays and writes R's strict lower triangle to
     # zeros itself, so both factors are scaled in place
     q, r = np.linalg.qr(a, mode=mode)
+    phases = _positive_diagonal(r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        q[:, :n] *= phases[None, :]
+    return q, r
+
+
+def _positive_diagonal(r):
+    """Make diag(r) exactly real and >= 0 in place; return the phases removed.
+
+    The one place QR phases are normalized: row i of the m-by-n ``r`` is
+    scaled by conj(phase_i) (a zero diagonal entry keeps phase 1), so the
+    caller multiplies Q's column i by phase_i to keep Q R unchanged.
+    """
+    n = r.shape[1]
     diag = np.diagonal(r)[:n].copy()
     mags = np.abs(diag)
     safe = np.where(mags == 0, 1.0, mags)
     # a subnormal diagonal entry can give a non-finite phase; invert and
     # irs_step check their factors for non-finite values instead of warning
     with np.errstate(over="ignore", invalid="ignore"):
-        phases = np.where(mags == 0, np.asarray(1.0, dtype=a.dtype), diag / safe)
+        phases = np.where(mags == 0, np.asarray(1.0, dtype=r.dtype), diag / safe)
         r[:n, :] *= phases.conj()[:, None]
-        idx = np.arange(n)
-        r[idx, idx] = mags  # bit-exact real diagonal
-        q[:, :n] *= phases[None, :]
-    return q, r
+    idx = np.arange(n)
+    r[idx, idx] = mags  # bit-exact real diagonal
+    return phases
+
+
+def _apply_reflectors(v, tau, x):
+    """``Q x`` in place of ``x``, for LAPACK's Q = H_1 ... H_n, H_i = I - tau_i v_i v_i^H.
+
+    The reflectors are applied last block first, `_BLOCK` at a time, each
+    block as one compact WY product ``H_s ... H_e = I - V T V^H`` (Schreiber
+    and Van Loan, 1989): three plain matmuls on the rows s: that the block
+    touches. Blocks, rather than one n-wide T, keep IRS's errors at the level
+    LAPACK's complete Q gives; one n-wide T raised them measurably. A
+    non-finite ``v`` (a stack scaled into the subnormal range) gives a
+    non-finite result without numpy warnings; its callers check for that.
+    """
+    n = v.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in reversed(range(0, n, _BLOCK)):
+            vb = v[s:, s:s + _BLOCK]
+            t = _wy_factor(vb, tau[s:s + _BLOCK])
+            x[s:] -= vb @ (t @ (vb.conj().T @ x[s:]))
+    return x
+
+
+def _wy_factor(v, tau):
+    """Upper-triangular T with H_1 ... H_k = I - V T V^H (LAPACK ``?larft``).
+
+    The forward columnwise recurrence: T[i, i] = tau_i and
+    T[:i, i] = -tau_i T[:i, :i] (V[:, :i]^H v_i). A zero tau_i, which LAPACK
+    returns for a column already in triangular form (H_i = I), gives a zero
+    column.
+    """
+    k = len(tau)
+    gram = v.conj().T @ v
+    t = np.zeros((k, k), dtype=v.dtype)
+    for i in range(k):
+        t[:i, i] = -tau[i] * (t[:i, :i] @ gram[:i, i])
+        t[i, i] = tau[i]
+    return t
 
 
 def _singular_values(a):
@@ -211,18 +320,16 @@ def spectral_norm(a):
 def smallest_singular(a):
     """Smallest singular value of ``a`` (the min(m, n)-th one)."""
     a = as_matrix(a, "a")
+    if min(a.shape) == 0:
+        raise ShapeError(f"smallest_singular requires a nonempty matrix, got shape {a.shape}")
     return float(_singular_values(a)[-1])
-
-
-#: `_tri_inv` inverts blocks of at most this order with one ``np.linalg.solve``
-_TRI_INV_BLOCK = 32
 
 
 def _tri_inv(r):
     """Inverse of an upper-triangular ``r`` by 2x2 block recursion.
 
     ``[[R1, R12], [0, R2]]^-1 = [[R1^-1, -R1^-1 R12 R2^-1], [0, R2^-1]]``,
-    so above blocks of order `_TRI_INV_BLOCK` the work is matmuls only, the
+    so above blocks of order `_BLOCK` the work is matmuls only, the
     stable building block of Demmel, Dumitriu and Holtz (2007). Smaller
     blocks go to ``np.linalg.solve``, whose LU of a triangle is exact (L = I),
     so that is back substitution. Raises ``np.linalg.LinAlgError`` when a
@@ -230,7 +337,7 @@ def _tri_inv(r):
     the algorithm's cost model.
     """
     n = r.shape[0]
-    if n <= _TRI_INV_BLOCK:
+    if n <= _BLOCK:
         return np.linalg.solve(r, np.eye(n, dtype=r.dtype))
     h = n // 2
     x = np.zeros_like(r)

@@ -5,9 +5,10 @@ One implicit step factors the stacked block (B_j; -A_j) = Q R and maps
     A_{j+1} = Q_12^H A_j,    B_{j+1} = Q_22^H B_j,
 
 where Q_12 and Q_22 are the top-right and bottom-right n-by-n blocks of the
-square Q factor. After p steps, A_p^-1 B_p = (A^-1 B)^(2^p) in exact
-arithmetic, without ever forming the inverse. The explicit alternative forms
-D_0 = A^-1 B and squares it p times.
+square Q factor: its trailing n columns, the only ones a step forms. After
+p steps, A_p^-1 B_p = (A^-1 B)^(2^p) in exact arithmetic, without ever
+forming the inverse. The explicit alternative forms D_0 = A^-1 B and
+squares it p times.
 """
 
 import itertools
@@ -47,6 +48,8 @@ class Pencil:
         same_precision(a, b, "Pencil")
         if a.shape != b.shape:
             raise ShapeError(f"pencil blocks differ in size: {a.shape} vs {b.shape}")
+        if a.shape[0] == 0:
+            raise ShapeError("Pencil requires nonempty blocks, got shape (0, 0)")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -124,6 +127,9 @@ def _stack_diagnostics(stack, r11, step_index):
 def irs_step(a_j, b_j, step_index=0):
     """One implicit squaring step: one QR and two matmuls, plus its diagnostics.
 
+    The QR of the 2n-by-n stack forms only the trailing n columns of its Q
+    (`kernels.FullQR.complement`), the blocks Q_12 and Q_22 the step reads.
+
     Parameters
     ----------
     a_j, b_j : (n, n) arrays of matching precision
@@ -145,13 +151,14 @@ def irs_step(a_j, b_j, step_index=0):
     if a_j.shape != b_j.shape:
         raise ShapeError(f"irs_step: blocks differ in size: {a_j.shape} vs {b_j.shape}")
     n = a_j.shape[0]
+    if n == 0:
+        raise ShapeError("irs_step requires nonempty blocks, got shape (0, 0)")
     stack = np.vstack([b_j, -a_j])
     qr = kernels.full_qr(stack)
     trace = _stack_diagnostics(stack, qr.R[:n], step_index)
-    q12 = qr.Q[:n, n:]
-    q22 = qr.Q[n:, n:]
-    a_next = kernels.matmul(q12.conj().T, a_j)
-    b_next = kernels.matmul(q22.conj().T, b_j)
+    q_c = qr.complement
+    a_next = kernels.matmul(q_c[:n].conj().T, a_j)
+    b_next = kernels.matmul(q_c[n:].conj().T, b_j)
     return a_next, b_next, trace
 
 

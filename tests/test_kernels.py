@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import pencilpow
-from pencilpow import kernels
+from pencilpow import kernels, squaring
 from pencilpow.errors import (
     NumericallySingularError,
     PrecisionMismatchError,
@@ -144,6 +144,72 @@ def test_full_qr_binary32():
     assert kernels.spectral_norm(qr.Q @ qr.R - a) <= 50 * 6 * u32 * kernels.spectral_norm(a)
 
 
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+@pytest.mark.parametrize("m,n", [(2, 1), (9, 3), (16, 8), (80, 33), (100, 70), (130, 129)])
+def test_full_qr_tall_forms_q_from_reflectors(m, n, dtype):
+    # spans one to three reflector blocks; the LAPACK complete Q is the reference
+    a = ginibre(m, rng_for(300 + m + n), m=n).astype(dtype)
+    u = unit_roundoff(a)
+    qr = kernels.full_qr(a)
+    reference = np.linalg.qr(a, mode="complete")[0]
+    c = qr.complement
+    assert c.shape == (m, m - n) and c.dtype == dtype
+    assert np.abs(c - reference[:, n:]).max() <= 10 * m * u
+    assert np.linalg.norm(c.conj().T @ c - np.eye(m - n), 2) <= 50 * m * u
+    assert np.array_equal(qr.Q[:, n:], c)
+    assert qr.Q.dtype == dtype
+    assert np.linalg.norm(qr.Q @ qr.R - a, 2) <= 50 * n * u * np.linalg.norm(a, 2)
+    assert np.linalg.norm(qr.Q.conj().T @ qr.Q - np.eye(m), 2) <= 50 * m * u
+
+
+def _degenerate_tall_inputs():
+    g = ginibre(70, rng_for(8), m=40)
+    yield "zero", np.zeros((70, 40), dtype=complex), True
+    yield "identity over zero", np.eye(70, 40, dtype=complex), True
+    yield "rank one", np.outer(g[:, 0], g[0].conj()), False
+    yield "one column", g[:, :1], False
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+def test_full_qr_tall_degenerate_inputs(dtype):
+    # LAPACK returns tau = 0 (H_i = I) for columns already in triangular form
+    for label, a, zero_tau in _degenerate_tall_inputs():
+        a = a.astype(dtype)
+        m, n = a.shape
+        u = unit_roundoff(a)
+        assert (np.linalg.qr(a, mode="raw")[1] == 0).all() == zero_tau, label
+        qr = kernels.full_qr(a)
+        reference = np.linalg.qr(a, mode="complete")[0]
+        assert np.abs(qr.complement - reference[:, n:]).max() <= 10 * m * u, label
+        assert np.linalg.norm(qr.Q.conj().T @ qr.Q - np.eye(m), 2) <= 50 * m * u, label
+        bound = 50 * n * u * max(np.linalg.norm(a, 2), 1e-300)
+        assert np.linalg.norm(qr.Q @ qr.R - a, 2) <= bound, label
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+def test_full_qr_square_is_lapack_complete(dtype):
+    for n in (1, 5, 40):
+        a = ginibre(n, rng_for(400 + n)).astype(dtype)
+        q, r = kernels._positive_qr(a, "complete")
+        qr = kernels.full_qr(a)
+        assert np.array_equal(qr.Q, q) and np.array_equal(qr.R, r)
+        assert qr.complement.shape == (n, 0)
+
+
+def test_irs_step_requests_only_raw_qr(monkeypatch):
+    modes = []
+    qr = np.linalg.qr
+
+    def spy(a, mode="reduced"):
+        modes.append(mode)
+        return qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", spy)
+    a = ginibre(40, rng_for(9)) + 8 * np.eye(40)
+    squaring.irs(a, ginibre(40, rng_for(10)), 3)
+    assert modes == ["raw"] * 3
+
+
 # --- svd --------------------------------------------------------------------
 
 def test_svd_diagonal():
@@ -181,6 +247,12 @@ def test_smallest_singular_diagonal():
     assert kernels.smallest_singular(np.diag([1.0, 1e-8]).astype(complex)) == pytest.approx(
         1e-8, rel=1e-12
     )
+
+
+def test_smallest_singular_rejects_empty():
+    for shape in [(0, 3), (3, 0), (0, 0)]:
+        with pytest.raises(ShapeError):
+            kernels.smallest_singular(np.zeros(shape, dtype=complex))
 
 
 def test_stacked_identity_norm():

@@ -11,6 +11,7 @@ from pencilpow import kernels, squaring
 from pencilpow.errors import (
     DomainError,
     NumericallySingularError,
+    PencilPowError,
     RankDeficientStackWarning,
     ShapeError,
 )
@@ -173,18 +174,50 @@ def test_irs_step_flags_exactly_where_svd_reference_does(n, dtype):
             assert a_next.dtype == dtype and b_next.dtype == dtype
 
 
-def test_subnormal_a_p_raises_structured_error():
-    # benign unit-circle pencil: the complex64 stack norm decays by 1/sqrt(2)
-    # per step, so by p = 300 ||A_p|| ~ 1.4e-45 and its QR factors hold NaN
+def _unit_circle_pencil(scale):
+    """complex64 A = I, B = diag(i, -1), both scaled by ``scale``."""
     a = np.eye(2, dtype=np.complex64)
     b = np.diag([1j, -1]).astype(np.complex64)
+    return scale * a, scale * b
+
+
+def _quiet_irs(a, b, p):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RankDeficientStackWarning)
-        run = squaring.irs(a, b, 300)
+        return squaring.irs(a, b, p)
+
+
+def test_subnormal_a_p_raises_structured_error():
+    # scaled by 2^-120, the stack (norm ~ 1e-36) halves at least every two
+    # steps, so by p = 20 A_p is subnormal and its QR factors hold NaN
+    run = _quiet_irs(*_unit_circle_pencil(2.0 ** -120), 20)
     for convert in (squaring.implicit_to_explicit, squaring.spectral_projector):
         with pytest.raises(NumericallySingularError) as exc:
             convert(run)
         assert np.isfinite(exc.value.sigma_min)
+
+
+def test_long_unit_circle_run_is_finite_or_structured():
+    # unit-circle eigenvalues are neutrally stable under squaring: whether
+    # ||A_p|| decays to subnormal or stalls depends on the rounding of each
+    # step's Q, so either outcome is allowed, but nothing else
+    run = _quiet_irs(*_unit_circle_pencil(1.0), 300)
+    for convert in (squaring.implicit_to_explicit, squaring.spectral_projector):
+        try:
+            result = convert(run)
+        except PencilPowError:
+            continue
+        assert np.isfinite(result).all()
+
+
+def test_empty_pencil_raises_shape_error():
+    empty = np.zeros((0, 0), dtype=complex)
+    with pytest.raises(ShapeError):
+        squaring.irs(empty, empty, 1)
+    with pytest.raises(ShapeError):
+        squaring.irs_step(empty, empty)
+    with pytest.raises(ShapeError):
+        squaring.Pencil(empty, empty)
 
 
 # --- irs ----------------------------------------------------------------------
