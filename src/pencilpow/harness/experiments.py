@@ -113,7 +113,8 @@ def _rel_err(compute, oracle, oracle_norm):
 
     NaN (the sentinel) when the computation raises `NumericallySingularError`
     or `DomainError`, returns a non-finite matrix, or returns None (an
-    exhausted `explicit_iter`, whose path failed at an earlier step).
+    exhausted `explicit_iter`, whose path failed at an earlier step), and
+    when the difference from the oracle overflows.
     """
     try:
         x = compute()
@@ -121,7 +122,11 @@ def _rel_err(compute, oracle, oracle_norm):
         return float("nan")
     if x is None or not np.isfinite(x).all():
         return float("nan")
-    return float(np.linalg.norm(np.asarray(x, dtype=np.complex128) - oracle, 2) / oracle_norm)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked next
+        diff = np.asarray(x, dtype=np.complex128) - oracle
+    if not np.isfinite(diff).all():
+        return float("nan")
+    return float(kernels.spectral_norm(diff) / oracle_norm)
 
 
 def _draw_square_pencil(config, trial):
@@ -233,7 +238,7 @@ def run_expm_experiment(config):
         v_inv = np.linalg.inv(v)
         m = ((v * d[None, :]) @ v_inv).astype(dtype)
         reference = (v * np.exp(d)[None, :]) @ v_inv
-        ref_norm = np.linalg.norm(reference, 2)
+        ref_norm = kernels.spectral_norm(reference)
         kappa_v, _ = _kappa_sigma(v)
         q, p, s = _final_pencil(m, ExpmConfig())
         err_es = _rel_err(lambda: explicit_squaring(q, p, s), reference, ref_norm)

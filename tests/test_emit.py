@@ -1,9 +1,18 @@
 import math
+import warnings
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
-from pencilpow.harness.emit import CSV_HEADER, emit_csv, emit_svg, parse_csv, write_manifest
+from pencilpow.harness.emit import (
+    CSV_HEADER,
+    _series_stats,
+    emit_csv,
+    emit_svg,
+    parse_csv,
+    write_manifest,
+)
 from pencilpow.harness.experiments import ExperimentConfig, TrialRecord
 
 
@@ -87,6 +96,27 @@ def test_svg_kappa_fallback(tmp_path):
     polylines = root.findall(f"{ns}polyline")
     assert len(polylines) == 1
     assert polylines[0].get("class") == "mean-kappa_irs"
+
+
+def test_series_stats_finite_for_huge_errors():
+    # err_es of an exploding expm_compare run: squaring 1.7e288 overflows
+    records = [TrialRecord(trial=t, p=3, err_es=v) for t, v in enumerate([1.7e288, 3e287, 2e-2])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        [(p, mean, std)] = _series_stats(records, "err_es")
+    assert p == 3
+    assert mean == pytest.approx((1.7e288 + 3e287 + 2e-2) / 3, rel=1e-15)
+    assert math.isfinite(std)
+    assert std == pytest.approx(1e288 * np.std([1.7, 0.3, 2e-290], ddof=1), rel=1e-14)
+
+
+def test_series_stats_scaling_is_exact():
+    # ordinary data gives bit-identical statistics with and without the scaling
+    records = sample_records()
+    vals = [r.err_irs for r in records if r.p == 1]
+    [(_, mean, std), _] = _series_stats(records, "err_irs")
+    assert mean == float(np.mean(vals))
+    assert std == float(np.std(vals, ddof=1))
 
 
 def test_manifest_contents(tmp_path):

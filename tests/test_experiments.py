@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -147,8 +148,20 @@ def test_expm_consistent_with_library_expm():
     reference = (v * np.exp(d)[None, :]) @ v_inv
     s = select_scaling(m)
     irs_result = lib_expm(m, ExpmConfig(squaring_backend="irs", scaling_override=s))
-    err = np.linalg.norm(irs_result - reference, 2) / np.linalg.norm(reference, 2)
+    # the runner measures with the library's one spectral norm
+    err = kernels.spectral_norm(irs_result - reference) / kernels.spectral_norm(reference)
     assert err == records[0].err_irs
+
+
+def test_rel_err_overflowing_difference_is_a_quiet_sentinel(capfd):
+    # x and the oracle are finite, but x - oracle overflows
+    x = np.full((4, 4), 1.5e308, dtype=np.complex128)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = ex._rel_err(lambda: x, -x, 1.0)
+    assert math.isnan(err)
+    out, errout = capfd.readouterr()
+    assert errout == ""
 
 
 def test_bound_report_measured_below_bound():

@@ -9,6 +9,7 @@ import pytest
 import pencilpow
 from pencilpow import kernels, squaring
 from pencilpow.errors import (
+    DomainError,
     NumericallySingularError,
     PrecisionMismatchError,
     ShapeError,
@@ -241,6 +242,51 @@ def test_svd_sorted_nonincreasing():
 
 def test_spectral_norm_identity():
     assert kernels.spectral_norm(np.eye(5)) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_spectral_norm_zero_and_empty_inputs():
+    for dtype in (np.complex64, np.complex128):
+        for shape in [(4, 3), (3, 4), (0, 3), (3, 0), (0, 0)]:
+            norm = kernels.spectral_norm(np.zeros(shape, dtype=dtype))
+            assert norm == 0.0 and isinstance(norm, float)
+
+
+def test_spectral_norm_subnormal_input_is_exact():
+    # 2^e overflows for e = -1073, so the scaling must not form it
+    assert kernels.spectral_norm(np.array([[5e-324]])) == 5e-324
+    assert kernels.spectral_norm(np.array([[2.0 ** -140]], dtype=np.complex64)) == 2.0 ** -140
+
+
+def test_spectral_norm_rejects_non_finite():
+    for dtype in (np.complex64, np.complex128):
+        for bad in (np.nan, np.inf):
+            a = np.eye(3, dtype=dtype)
+            a[1, 2] = bad
+            with pytest.raises(DomainError):
+                kernels.spectral_norm(a)
+
+
+def test_spectral_norm_tallies_nothing():
+    a = ginibre(6, rng_for(12))
+    with kernels.count_kernels() as counts:
+        for x in (a, a[:, :2], a[:2, :], a.astype(np.complex64)):
+            kernels.spectral_norm(x)
+    assert counts == kernels.KernelCounts()
+
+
+def test_spectral_norm_keeps_the_input_precision(monkeypatch):
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(g):
+        seen.append(g.dtype)
+        return eigvalsh(g)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    a = ginibre(5, rng_for(13), m=3)
+    kernels.spectral_norm(a.astype(np.complex64))
+    kernels.spectral_norm(a)
+    assert seen == [np.dtype(np.complex64), np.dtype(np.complex128)]
 
 
 def test_smallest_singular_diagonal():

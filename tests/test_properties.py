@@ -4,7 +4,7 @@ content comes from seeded generators so tolerances stay meaningful)."""
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pencilpow import conditioning, kernels, qrperturb
 from pencilpow.harness.generators import gen_ginibre, sample_spectrum
@@ -73,3 +73,32 @@ def test_spectrum_moduli_within_region(seed, r_lo, r_hi):
 @given(st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=10))
 def test_lebesgue_monotone_pairs(k, step):
     assert qrperturb.lebesgue_constant(k + step) >= qrperturb.lebesgue_constant(k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=1, max_value=12),
+    st.sampled_from(["gaussian", "rank_one", "graded"]),
+    st.sampled_from([-1, 0, 1]),
+    st.sampled_from([np.complex64, np.complex128]),
+    st.integers(min_value=0, max_value=1000),
+)
+@example(1, 1, "gaussian", 0, np.complex128, 0)
+@example(12, 1, "graded", -1, np.complex128, 1)
+@example(1, 12, "rank_one", 1, np.complex64, 2)
+def test_spectral_norm_matches_svd_sigma_1(m, n, kind, scale_sign, dtype, seed):
+    rng = np.random.Generator(np.random.Philox(seed))
+    a = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    if kind == "rank_one":
+        a = np.outer(a[:, 0], a[0, :].conj())
+    elif kind == "graded":
+        a = a * np.logspace(0, -12, n)[None, :]
+    # scales near the ends of each precision's range: 1e+-300 and 1e+-36
+    a = (a * (1e300 if dtype == np.complex128 else 1e36) ** scale_sign).astype(dtype)
+    u = 2.0 ** -53 if dtype == np.complex128 else 2.0 ** -24
+    sigma_1 = np.linalg.svd(a.astype(np.complex128), compute_uv=False)[0]
+    # the Gram route and the reference SVD each land within (n + 4) u of sigma_1:
+    # n u from the inner products, a few u from the eigensolver and the sqrt
+    tol = 2 * (max(m, n) + 4) * u
+    assert abs(kernels.spectral_norm(a) - sigma_1) <= tol * sigma_1
