@@ -330,10 +330,7 @@ def spectral_norm(a):
     if min(a.shape) == 0:
         return 0.0
     parts = np.ascontiguousarray(a).view(a.real.dtype)  # real and imaginary parts
-    top = float(np.abs(parts).max())
-    if top == 0.0:
-        return 0.0
-    _, e = math.frexp(top)
+    _, e = math.frexp(float(np.abs(parts).max()))
     x = np.ldexp(parts, -e).view(a.dtype)  # no 2^-e is formed: it can overflow
     gram = x.conj().T @ x if x.shape[0] >= x.shape[1] else x @ x.conj().T
     try:
