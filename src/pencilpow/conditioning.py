@@ -38,6 +38,15 @@ __all__ = [
 #: dense construction guard: refuse m * n above this.
 MP_DENSE_MAX_SIZE = 4096
 
+#: `distance_ill_posed`'s theta grid, whose spacing sets the chain's grid
+#: slack, and golden-section steps; `omega_malyshev`'s starting nodes, the
+#: relative change between doublings that settles it, and the doublings allowed
+GRID_POINTS = 256
+_REFINE_ITERS = 40
+_QUAD_POINTS = 512
+_QUAD_REL_TOL = 1e-6
+_QUAD_MAX_DOUBLINGS = 8
+
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -56,7 +65,7 @@ def _shifted_sigma_n(a, b, thetas):
     """sigma_n(-A + e^{i theta} B) for each theta, batched."""
     shifts = np.exp(1j * np.asarray(thetas, dtype=np.float64))
     pencils = -a[None, :, :] + shifts[:, None, None].astype(a.dtype) * b[None, :, :]
-    return np.linalg.svd(pencils, compute_uv=False)[:, -1]
+    return kernels._singular_values(pencils)[:, -1]
 
 
 def build_mp_dense(a, b, p):
@@ -93,15 +102,14 @@ def sigma_min_mp(a, b, p):
 def kappa_irs(a, b, p):
     """Scale-invariant condition number for p steps of implicit squaring.
 
-    Returns ``inf`` when sigma_min(M_p) is below the numerical floor
-    ``n * u * ||(A; B)||_2`` (an eigenvalue of the pencil sits on an m-th
-    root of -1 to working precision).
+    Returns ``inf`` where `kernels._rank_deficient` flags sigma_min(M_p)
+    against ``||(A; B)||_2``: an eigenvalue of the pencil sits on an m-th
+    root of -1 to working precision, or the pencil is zero.
     """
     a, b = _validated(a, b)
     stack_norm = kernels.spectral_norm(np.vstack([a, b]))
     smin = sigma_min_mp(a, b, p)
-    n = a.shape[0]
-    if smin < n * unit_roundoff(a) * stack_norm:
+    if kernels._rank_deficient(smin, stack_norm, a.shape[0], unit_roundoff(a)):
         return float("inf")
     return stack_norm / smin
 
@@ -123,32 +131,30 @@ def _golden_section(f, lo, hi, iters):
     return min(f1, f2)
 
 
-def distance_ill_posed(a, b, grid_points=256, refine_iters=40):
+def distance_ill_posed(a, b):
     """Distance to the nearest pencil singular somewhere on the unit circle.
 
-    Estimates ``min_theta sigma_n(-A + e^{i theta} B)`` by a uniform grid
-    over [0, 2 pi) followed by golden-section refinement around the grid
-    minimizer. The returned value is an upper bound on the true distance;
-    its resolution is limited by the grid (the objective is ||B||_2-Lipschitz
-    in theta).
+    Estimates ``min_theta sigma_n(-A + e^{i theta} B)`` by a uniform grid of
+    `GRID_POINTS` over [0, 2 pi) followed by golden-section refinement
+    around the grid minimizer. The returned value is an upper bound on the
+    true distance; its resolution is limited by the grid (the objective is
+    ||B||_2-Lipschitz in theta).
     """
     a, b = _validated(a, b)
-    if grid_points < 8:
-        raise ShapeError(f"distance_ill_posed requires grid_points >= 8, got {grid_points}")
-    thetas = np.linspace(0.0, 2.0 * np.pi, grid_points, endpoint=False)
+    thetas = np.linspace(0.0, 2.0 * np.pi, GRID_POINTS, endpoint=False)
     vals = _shifted_sigma_n(a, b, thetas)
     k = int(np.argmin(vals))
     best = float(vals[k])
-    h = 2.0 * np.pi / grid_points
+    h = 2.0 * np.pi / GRID_POINTS
 
     def objective(theta):
         return float(_shifted_sigma_n(a, b, [theta])[0])
 
-    refined = _golden_section(objective, thetas[k] - h, thetas[k] + h, refine_iters)
+    refined = _golden_section(objective, thetas[k] - h, thetas[k] + h, _REFINE_ITERS)
     return min(best, refined)
 
 
-def omega_malyshev(a, b, quad_points=512, rel_tol=1e-6, max_doublings=8):
+def omega_malyshev(a, b):
     """Malyshev's criterion for absence of eigenvalues near the unit circle.
 
     Evaluates the spectral norm of
@@ -157,26 +163,24 @@ def omega_malyshev(a, b, quad_points=512, rel_tol=1e-6, max_doublings=8):
                                  (B - e^{i phi} A)^-H  d phi
 
     by a trapezoidal rule on the periodic integrand, starting from
-    ``quad_points`` nodes and doubling until two successive estimates agree
-    to ``rel_tol``. A node where sigma_n(B - e^{i phi} A) falls below
-    ``n * u * ||(A; B)||_2`` raises `NearSingularNodeError` naming phi: the
-    pencil has an eigenvalue too close to the unit circle for the integral
-    to be trusted.
+    `_QUAD_POINTS` nodes and doubling until two successive estimates agree
+    to `_QUAD_REL_TOL`. A node where `kernels._rank_deficient` flags
+    sigma_n(B - e^{i phi} A) against ``||(A; B)||_2`` raises
+    `NearSingularNodeError` naming phi: the pencil has an eigenvalue too
+    close to the unit circle for the integral to be trusted.
     """
     a, b = _validated(a, b)
-    if quad_points < 8:
-        raise ShapeError(f"omega_malyshev requires quad_points >= 8, got {quad_points}")
     n = a.shape[0]
     h = a @ a.conj().T + b @ b.conj().T
-    floor = n * unit_roundoff(a) * kernels.spectral_norm(np.vstack([a, b]))
+    stack_norm = kernels.spectral_norm(np.vstack([a, b]))
 
     def estimate(num_nodes):
         phis = np.linspace(0.0, 2.0 * np.pi, num_nodes, endpoint=False)
         acc = np.zeros((n, n), dtype=np.complex128)
         for phi in phis:
             f = b - np.exp(1j * phi).astype(a.dtype) * a
-            smallest = np.linalg.svd(f, compute_uv=False)[-1]
-            if smallest <= floor:
+            smallest = kernels._singular_values(f)[-1]
+            if kernels._rank_deficient(smallest, stack_norm, n, unit_roundoff(a)):
                 raise NearSingularNodeError(
                     "omega_malyshev: pencil is numerically singular on the unit circle",
                     smallest,
@@ -187,16 +191,16 @@ def omega_malyshev(a, b, quad_points=512, rel_tol=1e-6, max_doublings=8):
             acc += integrand
         return kernels.spectral_norm((np.pi / num_nodes) * acc)
 
-    nodes = quad_points
+    nodes = _QUAD_POINTS
     prev = estimate(nodes)
-    for _ in range(max_doublings):
+    for _ in range(_QUAD_MAX_DOUBLINGS):
         nodes *= 2
         cur = estimate(nodes)
-        if abs(cur - prev) <= rel_tol * abs(cur):
+        if abs(cur - prev) <= _QUAD_REL_TOL * abs(cur):
             return cur
         prev = cur
     raise ConvergenceError(
-        f"omega_malyshev: quadrature did not settle to rel {rel_tol} within "
+        f"omega_malyshev: quadrature did not settle to rel {_QUAD_REL_TOL} within "
         f"{nodes} nodes"
     )
 
@@ -231,7 +235,7 @@ class ConditionReport:
         return self.stack_vs_mp_ok and self.mp_vs_d_ok and self.d_vs_omega_ok
 
 
-def condition_chain_check(a, b, p, grid_points=256, refine_iters=40, quad_points=512):
+def condition_chain_check(a, b, p):
     """Compute sigma_min(M_p), kappa_irs, d, omega and check the chain.
 
     Link failures are reported as data in the returned `ConditionReport`,
@@ -244,16 +248,16 @@ def condition_chain_check(a, b, p, grid_points=256, refine_iters=40, quad_points
     stack_sigma_n = kernels.smallest_singular(np.vstack([b, -a]))
     smin = sigma_min_mp(a, b, p)
     kap = kappa_irs(a, b, p)
-    d = distance_ill_posed(a, b, grid_points, refine_iters)
+    d = distance_ill_posed(a, b)
     try:
-        omega = omega_malyshev(a, b, quad_points)
+        omega = omega_malyshev(a, b)
     except NearSingularNodeError:
         # an eigenvalue sits on the unit circle to working precision; the
         # integral diverges, matching the omega = inf convention
         omega = float("inf")
     stack_norm = kernels.spectral_norm(np.vstack([a, b]))
     roundoff = 10.0 * n * unit_roundoff(a) * stack_norm
-    grid_slack = kernels.spectral_norm(b) * np.pi / grid_points
+    grid_slack = kernels.spectral_norm(b) * np.pi / GRID_POINTS
     tol = roundoff + grid_slack
     hermitian = a @ a.conj().T + b @ b.conj().T
     tail = math.sqrt(max(kernels.smallest_singular(hermitian), 0.0)) / (14.0 * omega)

@@ -200,19 +200,17 @@ CHECKS = [
 ]
 
 
-def run_all_checks(verbose=True):
-    """Run every check; returns True when all pass."""
+def run_all_checks():
+    """Run every check, printing one PASS or FAIL line each; True when all pass."""
     failures = 0
     for name, fn in CHECKS:
         try:
             fn()
         except Exception as exc:  # report and continue
             failures += 1
-            if verbose:
-                print(f"FAIL  {name}: {exc}")
+            print(f"FAIL  {name}: {exc}")
         else:
-            if verbose:
-                print(f"PASS  {name}")
-    if verbose and failures:
+            print(f"PASS  {name}")
+    if failures:
         print(f"{failures} of {len(CHECKS)} checks failed")
     return failures == 0

@@ -141,7 +141,7 @@ def _print_bound_table(report):
 
 
 def _cmd_check(_args):
-    return 0 if run_all_checks(verbose=True) else 1
+    return 0 if run_all_checks() else 1
 
 
 def _cmd_bounds(args):

@@ -86,7 +86,7 @@ def parse_csv(path):
 
 
 def _series_stats(records, attr):
-    """Per-p mean and sample std (ddof=1) of one record attribute.
+    """Per-p mean and sample std (ddof=1) of one record attribute's finite values.
 
     The values are divided by 2^e, e the ``math.frexp`` exponent of their
     largest modulus, so the squares in the std cannot overflow (errors of
@@ -96,7 +96,7 @@ def _series_stats(records, attr):
     by_p = {}
     for r in records:
         val = getattr(r, attr)
-        if val is not None and not math.isnan(val):
+        if val is not None and math.isfinite(val):
             by_p.setdefault(r.p, []).append(val)
     stats = []
     for p in sorted(by_p):

@@ -129,6 +129,24 @@ def _rel_err(compute, oracle, oracle_norm):
     return float(kernels.spectral_norm(diff) / oracle_norm)
 
 
+def _measured_runs(a0, b0, oracle, p_max):
+    """Yield ``(run, err_irs, err_es)`` for p = 1 .. p_max: absolute 2-norm errors.
+
+    The runners' one measured step loop: `irs_iter` and `explicit_iter`
+    advance together, and both are measured against ``oracle(p)`` by
+    `_rel_err`. Stops before the first p whose oracle is not finite.
+    """
+    es_powers = explicit_iter(a0, b0)
+    for run in islice(irs_iter(a0, b0), p_max):
+        with np.errstate(over="ignore", invalid="ignore"):  # checked next
+            target = oracle(run.p)
+        if not np.isfinite(target).all():
+            return
+        err_irs = _rel_err(lambda: implicit_to_explicit(run), target, 1.0)
+        err_es = _rel_err(lambda: next(es_powers, None), target, 1.0)
+        yield run, err_irs, err_es
+
+
 def _draw_square_pencil(config, trial):
     """(A, B) at the configured precision, the oracle and d of one squaring trial.
 
@@ -155,29 +173,22 @@ def run_square_experiment(config):
     """Implicit vs. explicit squaring errors per step.
 
     Per trial: draw A (well or ill conditioned), Haar V, diagonal d per the
-    configured spectrum, and set B = A V diag(d) V^H. The implicit runs come
-    from `irs_iter` (one step per p, never recomputed from scratch); the
-    explicit product is squared alongside. Recording stops for a trial after
-    either error exceeds `EXPLOSION_CUTOFF` (the exploding row itself is
-    kept; a NaN sentinel never counts as exploded), and before the first p
-    whose oracle V D^(2^p) V^H is not finite: with |d_i| > 1 it overflows
-    (for |d_i| = 1.048 at p = 14), leaving nothing to measure against.
+    configured spectrum, set B = A V diag(d) V^H, and measure both
+    algorithms with `_measured_runs`. A trial stops after either error
+    exceeds `EXPLOSION_CUTOFF` (that row is kept; a NaN sentinel never
+    counts as exploded), and before the first p whose oracle V D^(2^p) V^H
+    overflows, as it does with |d_i| > 1 (for |d_i| = 1.048 at p = 14).
     """
     records = []
     for trial in range(config.trials):
         a0, b0, oracle, d_power = _draw_square_pencil(config, trial)
         kappa_in, _ = _kappa_sigma(a0)
-        es_powers = explicit_iter(a0, b0)
-        for run in islice(irs_iter(a0, b0), config.p_max):
-            with np.errstate(over="ignore", invalid="ignore"):  # checked next
-                target = oracle(run.p)
-                d_power = d_power * d_power  # the oracle's own squarings
-            if not np.isfinite(target).all():
-                break
+        for run, err_irs, err_es in _measured_runs(a0, b0, oracle, config.p_max):
+            d_power = d_power * d_power  # the oracle's own squarings, so finite
             # V is unitary: ||V D^(2^p) V^H||_2 = max_i |d_i^(2^p)|
             target_norm = np.abs(d_power).max()
-            err_irs = _rel_err(lambda: implicit_to_explicit(run), target, target_norm)
-            err_es = _rel_err(lambda: next(es_powers, None), target, target_norm)
+            err_irs = float(err_irs / target_norm)
+            err_es = float(err_es / target_norm)
             kappa_ap, sigma_n_ap = _kappa_sigma(run.a_p)
             records.append(
                 TrialRecord(
@@ -302,17 +313,6 @@ class BoundReport:
         )
 
 
-def _power_product(base_norm, delta, p):
-    """prod_{j=1..p} (r^(2^(j-1)) + (r + delta)^(2^(j-1)))."""
-    out = 1.0
-    for j in range(1, p + 1):
-        k = 2 ** (j - 1)
-        out *= base_norm ** k + (base_norm + delta) ** k
-        if math.isinf(out):
-            break
-    return out
-
-
 def run_bound_report(config):
     """Evaluate measured errors against the theoretical forward bounds.
 
@@ -350,17 +350,16 @@ def run_bound_report(config):
     delta0 = tau * stack_norm * (sigma_n_a + norm_b) / (sigma_n_a - tau * stack_norm)
 
     rows = []
-    es_powers = explicit_iter(a0, b0)
-    for run in islice(irs_iter(a0, b0), config.p_max):
+    # prod_{j<=p} (r^k + (r + delta0)^k) and prod_{j<=p} 2 (1 + tau) r^k, k = 2^(j-1);
+    # an infinite one stays so: a further r ** k can raise OverflowError
+    product_irs = product_es = 1.0
+    for run, err_irs, err_es in _measured_runs(a0, b0, oracle, config.p_max):
         p = run.p
-        with np.errstate(over="ignore", invalid="ignore"):  # checked next
-            target = oracle(p)
-        if not np.isfinite(target).all():
-            break
-        # absolute errors (unit oracle norm); NaN where a conversion failed
-        err_irs = _rel_err(lambda: implicit_to_explicit(run), target, 1.0)
-        err_es = _rel_err(lambda: next(es_powers, None), target, 1.0)
-
+        k = 2 ** (p - 1)
+        if not math.isinf(product_irs):
+            product_irs *= product_base ** k + (product_base + delta0) ** k
+        if not math.isinf(product_es):
+            product_es *= 2.0 * (1.0 + tau) * product_base ** k
         kappa_ap, sigma_ap = _kappa_sigma(run.a_p)
         norm_bp = kernels.spectral_norm(run.b_p)
         kap_irs = kappa_irs(a0, b0, p)
@@ -373,10 +372,10 @@ def run_bound_report(config):
             if denom > 0
             else float("inf")
         )
-        t3 = delta0 * _power_product(product_base, delta0, p)
+        t3 = delta0 * product_irs
         bound_irs = t1 + t2 + t3
         bound_es = (
-            _power_product_es(product_base, tau, p)
+            product_es
             * tau
             * (1.0 + (1.0 + tau) * kappa_a ** c_log)
             * (norm_b / sigma_n_a)
@@ -401,16 +400,6 @@ def run_bound_report(config):
         expected_flops_irs=expected_irs,
         expected_flops_es=expected_es,
     )
-
-
-def _power_product_es(base_norm, tau, p):
-    """prod_{j=1..p} 2 (1 + tau) r^(2^(j-1)) from the explicit recursion."""
-    out = 1.0
-    for j in range(1, p + 1):
-        out *= 2.0 * (1.0 + tau) * base_norm ** (2 ** (j - 1))
-        if math.isinf(out):
-            break
-    return out
 
 
 def run_experiment(config):

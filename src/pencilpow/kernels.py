@@ -281,11 +281,20 @@ def _wy_factor(v, tau):
 
 
 def _singular_values(a):
-    """Singular values of ``a``, nonincreasing, with convergence wrapped."""
+    """Singular values of ``a``, or of each matrix in a stack, nonincreasing."""
     try:
         return np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceError(f"singular values did not converge: {exc}") from exc
+
+
+def _rank_deficient(sigma_n, sigma_1, n, u):
+    """The library's one numerical-rank verdict: ``sigma_n < n u sigma_1``, or 0.
+
+    The zero clause catches the zero matrix, which the strict comparison
+    misses. `_screen_passes` certifies a False verdict without an SVD.
+    """
+    return bool(sigma_n < n * u * sigma_1 or sigma_n == 0)
 
 
 def svd(a):
@@ -377,8 +386,8 @@ def _screen_passes(r, r_inv):
     ``R^-1 Q^H``. Since ``sigma_n(r) >= 1 / ||r^-1||_F`` and
     ``||r||_2 <= ||r||_F``, a pass certifies ``sigma_n(r) > n u ||r||_2``
     with a spare factor n that covers the rounding in the computed inverse:
-    the rank threshold that `invert` and `irs_step` apply is never met. A
-    NaN or inf in either matrix makes its norm non-finite, which fails.
+    `_rank_deficient` is False. A NaN or inf in either matrix makes its norm
+    non-finite, which fails.
     """
     n = r.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite product fails
@@ -390,9 +399,9 @@ def invert(a):
     """Inverse of a square matrix via complete QR and a triangular solve.
 
     A single QR-based code path is used so the stability story matches the
-    rest of the library. A matrix with ``sigma_min < n * u * ||a||_2`` is
-    treated as numerically singular, and so is one whose QR factors or
-    inverse come out non-finite (an ``a`` scaled into the subnormal range).
+    rest of the library. A matrix that `_rank_deficient` flags is
+    numerically singular, and so is one whose QR factors or inverse come
+    out non-finite (an ``a`` scaled into the subnormal range).
 
     The solve ``R X = Q^H`` goes through numpy's ``?gesv``: partial-pivot LU
     of an upper-triangular R with a nonzero diagonal is exact (L = I, U = R),
@@ -408,7 +417,6 @@ def invert(a):
     """
     a = square_matrix(a, "a")
     n = a.shape[0]
-    u = unit_roundoff(a)
     if n == 0:
         raise ShapeError("invert requires a nonempty matrix, got shape (0, 0)")
     _tally("inv")
@@ -428,7 +436,7 @@ def invert(a):
         if finite and _screen_passes(qr.R, x):
             return np.ascontiguousarray(x)
     sv = _singular_values(a)
-    if sv[-1] < n * u * sv[0] or sv[-1] == 0.0:
+    if _rank_deficient(sv[-1], sv[0], n, unit_roundoff(a)):
         raise NumericallySingularError("invert: matrix is numerically singular", sv[-1])
     if not finite:
         raise NumericallySingularError("invert: QR factors or inverse are not finite", sv[-1])

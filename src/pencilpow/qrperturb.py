@@ -181,8 +181,8 @@ def qr_perturb_certificate(a, e):
     m, n = a.shape
     if m < n:
         raise ShapeError(f"qr_perturb_certificate requires m >= n, got {a.shape}")
-    sv = np.linalg.svd(a, compute_uv=False)
-    if sv[-1] < n * unit_roundoff(a) * sv[0] or sv[-1] == 0.0:
+    sv = kernels._singular_values(a)
+    if kernels._rank_deficient(sv[-1], sv[0], n, unit_roundoff(a)):
         raise NumericallySingularError("qr_perturb_certificate: a is rank deficient", sv[-1])
     e_norm = kernels.spectral_norm(e)
     alpha_arg = e_norm / float(sv[-1])

@@ -65,8 +65,8 @@ class IRSStepTrace:
     matmul-only inverse of R_11. When these bounds cannot rule out the rank
     flag, an exact SVD of R_11 (of the stack when R is non-finite) decides
     it, and the two fields hold its exact sigma_1 and sigma_n.
-    ``rank_warning`` flags sigma_n < n * u * ||stack||_2, and a zero sigma_n
-    (the zero pencil included): it fires exactly where that SVD says so.
+    ``rank_warning`` is `kernels._rank_deficient` of those two values (the
+    zero pencil included): it fires exactly where that SVD says so.
     """
 
     step_index: int
@@ -105,10 +105,9 @@ def _stack_diagnostics(stack, r11, step_index):
                 sigma_n_lb=float(1.0 / np.linalg.norm(r_inv)),
             )
     # the screen cannot decide: the exact singular values do
-    sv = np.linalg.svd(r11 if finite else stack, compute_uv=False)
+    sv = kernels._singular_values(r11 if finite else stack)
     norm_stack, sigma_n = float(sv[0]), float(sv[-1])
-    n = r11.shape[0]
-    warn = sigma_n < n * unit_roundoff(stack) * norm_stack or sigma_n == 0.0
+    warn = kernels._rank_deficient(sigma_n, norm_stack, r11.shape[0], unit_roundoff(stack))
     if warn:
         warnings.warn(
             f"implicit squaring step {step_index}: stacked block is numerically "

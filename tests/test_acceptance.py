@@ -76,7 +76,6 @@ def test_criterion_02_sigma_min_root_formula_vs_dense():
 def test_criterion_03_kappa_irs_properties():
     t0 = time.perf_counter()
     rng = rng_from_seed(1003)
-    grid = 256
     for trial in range(200):
         a = gen_ginibre(4, rng)
         b = gen_ginibre(4, rng)
@@ -87,8 +86,8 @@ def test_criterion_03_kappa_irs_properties():
         assert conditioning.kappa_irs(b, a, p) == pytest.approx(k, rel=1e-10)
         # p-independent ceiling: kappa <= ||(A;B)|| / d up to the grid
         # resolution of the distance estimate (the objective is ||B||-Lipschitz)
-        d = conditioning.distance_ill_posed(a, b, grid_points=grid)
-        floor = d - kernels.spectral_norm(b) * np.pi / grid - 1e-12
+        d = conditioning.distance_ill_posed(a, b)
+        floor = d - kernels.spectral_norm(b) * np.pi / conditioning.GRID_POINTS - 1e-12
         if floor > 0:
             stack = kernels.spectral_norm(np.vstack([a, b]))
             for pp in (1, 2, 4, 6):

@@ -127,12 +127,11 @@ def test_kappa_monotone_in_p_up_to_grid_wobble():
 
 def test_kappa_p_independent_ceiling():
     rng = rng_for(46)
-    grid = 256
     for _ in range(10):
         a = gen_ginibre(4, rng)
         b = gen_ginibre(4, rng)
-        d = conditioning.distance_ill_posed(a, b, grid_points=grid)
-        floor = d - kernels.spectral_norm(b) * np.pi / grid - 1e-12
+        d = conditioning.distance_ill_posed(a, b)
+        floor = d - kernels.spectral_norm(b) * np.pi / conditioning.GRID_POINTS - 1e-12
         if floor <= 0:
             continue
         stack = kernels.spectral_norm(np.vstack([a, b]))
@@ -157,11 +156,6 @@ def test_distance_below_sigma_min_mp():
     d = conditioning.distance_ill_posed(a, b)
     for p in (1, 2, 3):
         assert d <= conditioning.sigma_min_mp(a, b, p) + 1e-10
-
-
-def test_distance_grid_guard():
-    with pytest.raises(ShapeError):
-        conditioning.distance_ill_posed(np.eye(2), np.eye(2), grid_points=4)
 
 
 # --- omega_malyshev ----------------------------------------------------------------
@@ -208,6 +202,16 @@ def test_chain_scalar_circle_eigenvalue():
     assert report.d_ab <= 1e-8
     assert math.isinf(report.omega_ab)
     assert report.chain_ok
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+@pytest.mark.parametrize("n", [1, 2])
+def test_zero_pencil_kappa_is_infinite(n, dtype):
+    zero = np.zeros((n, n), dtype=dtype)
+    for p in (1, 3):
+        assert conditioning.kappa_irs(zero, zero, p) == float("inf")
+        report = conditioning.condition_chain_check(zero, zero, p)
+        assert report.kappa_is_infinite and math.isinf(report.kappa_irs)
 
 
 def test_chain_random_pencil():

@@ -110,6 +110,26 @@ def test_series_stats_finite_for_huge_errors():
     assert std == pytest.approx(1e288 * np.std([1.7, 0.3, 2e-290], ddof=1), rel=1e-14)
 
 
+def test_svg_skips_infinite_kappa(tmp_path):
+    # kappa_2(A_p) is inf where sigma_n(A_p) is exactly 0; the CSV leaves that
+    # cell empty and the plot leaves the value out
+    records = [
+        TrialRecord(trial=t, p=p, kappa_a_input=3.0, kappa_ap=k, sigma_n_ap=0.0)
+        for t, (p, k) in enumerate([(1, 1.0), (1, float("inf")), (2, 2.0), (2, 4.0)])
+    ]
+    path = tmp_path / "kappa.svg"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stats = _series_stats(records, "kappa_ap")
+        emit_svg(records, path)
+    assert stats[0] == (1, 1.0, 0.0)
+    assert all(math.isfinite(x) for row in stats for x in row)
+    root = ET.parse(path).getroot()
+    points = [el.get("points") for el in root.iter() if el.get("points") is not None]
+    assert points
+    assert not any("nan" in pts or "inf" in pts for pts in points)
+
+
 def test_series_stats_scaling_is_exact():
     # ordinary data gives bit-identical statistics with and without the scaling
     records = sample_records()
