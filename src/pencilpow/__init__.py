@@ -9,7 +9,6 @@ backend.
 
 from . import conditioning, expm, harness, kernels, qrperturb, squaring
 from .conditioning import (
-    ConditionReport,
     build_mp_dense,
     condition_chain_check,
     distance_ill_posed,
@@ -19,9 +18,7 @@ from .conditioning import (
 )
 from .expm import ExpmConfig, expm as matrix_exponential, pade_numerator_denominator, select_scaling
 from .kernels import (
-    FullQR,
     KernelCounts,
-    SVDResult,
     count_kernels,
     full_qr,
     invert,
@@ -31,7 +28,6 @@ from .kernels import (
     svd,
 )
 from .qrperturb import (
-    PerturbCertificate,
     align_complement,
     lebesgue_constant,
     qr_perturb_certificate,
@@ -59,8 +55,6 @@ __all__ = [
     "qrperturb",
     "expm",
     "harness",
-    "FullQR",
-    "SVDResult",
     "KernelCounts",
     "count_kernels",
     "matmul",
@@ -77,14 +71,12 @@ __all__ = [
     "explicit_squaring",
     "implicit_to_explicit",
     "spectral_projector",
-    "ConditionReport",
     "build_mp_dense",
     "sigma_min_mp",
     "kappa_irs",
     "distance_ill_posed",
     "omega_malyshev",
     "condition_chain_check",
-    "PerturbCertificate",
     "sun_alpha",
     "lebesgue_constant",
     "triangular_norm_check",

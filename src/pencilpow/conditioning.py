@@ -107,8 +107,11 @@ def kappa_irs(a, b, p):
     root of -1 to working precision, or the pencil is zero.
     """
     a, b = _validated(a, b)
-    stack_norm = kernels.spectral_norm(np.vstack([a, b]))
-    smin = sigma_min_mp(a, b, p)
+    return _kappa(kernels.spectral_norm(np.vstack([a, b])), sigma_min_mp(a, b, p), a)
+
+
+def _kappa(stack_norm, smin, a):
+    """``stack_norm / smin``, or ``inf`` where `kernels._rank_deficient` flags smin."""
     if kernels._rank_deficient(smin, stack_norm, a.shape[0], unit_roundoff(a)):
         return float("inf")
     return stack_norm / smin
@@ -246,8 +249,9 @@ def condition_chain_check(a, b, p):
     a, b = _validated(a, b)
     n = a.shape[0]
     stack_sigma_n = kernels.smallest_singular(np.vstack([b, -a]))
+    stack_norm = kernels.spectral_norm(np.vstack([a, b]))
     smin = sigma_min_mp(a, b, p)
-    kap = kappa_irs(a, b, p)
+    kap = _kappa(stack_norm, smin, a)
     d = distance_ill_posed(a, b)
     try:
         omega = omega_malyshev(a, b)
@@ -255,7 +259,6 @@ def condition_chain_check(a, b, p):
         # an eigenvalue sits on the unit circle to working precision; the
         # integral diverges, matching the omega = inf convention
         omega = float("inf")
-    stack_norm = kernels.spectral_norm(np.vstack([a, b]))
     roundoff = 10.0 * n * unit_roundoff(a) * stack_norm
     grid_slack = kernels.spectral_norm(b) * np.pi / GRID_POINTS
     tol = roundoff + grid_slack

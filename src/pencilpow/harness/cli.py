@@ -1,7 +1,6 @@
 """Command-line interface.
 
     pencilpow run    --experiment general_square --n 128 --trials 20 ...
-    pencilpow check
     pencilpow bounds --n 16 --p-max 4 --seed 0 --out results/
 
 ``run`` writes <out>/<experiment>.csv, <out>/<experiment>.svg and
@@ -15,7 +14,6 @@ import os
 import sys
 from dataclasses import fields
 
-from .checks import run_all_checks
 from .emit import emit_csv, emit_svg, write_manifest
 from .experiments import (
     EXPERIMENTS,
@@ -116,6 +114,7 @@ def _emit_bound_report(config, out):
         os.path.join(out, "manifest.txt"),
         config,
         extra={
+            "flops_p": report.flops_p,
             "flops_irs": report.flops_irs,
             "flops_es": report.flops_es,
             "flops_match": report.flops_match,
@@ -135,13 +134,10 @@ def _print_bound_table(report):
         )
     ok = "match" if report.flops_match else "MISMATCH"
     print(
-        f"kernel calls ({ok}): irs {report.flops_irs} expected {report.expected_flops_irs}; "
+        f"kernel calls at p={report.flops_p} ({ok}): "
+        f"irs {report.flops_irs} expected {report.expected_flops_irs}; "
         f"es {report.flops_es} expected {report.expected_flops_es}"
     )
-
-
-def _cmd_check(_args):
-    return 0 if run_all_checks() else 1
 
 
 def _cmd_bounds(args):
@@ -167,9 +163,6 @@ def main(argv=None):
     run_p = sub.add_parser("run", help="run an experiment and emit CSV/SVG")
     _add_run_flags(run_p)
     run_p.set_defaults(func=_cmd_run)
-
-    check_p = sub.add_parser("check", help="run the invariant suite")
-    check_p.set_defaults(func=_cmd_check)
 
     bounds_p = sub.add_parser("bounds", help="evaluate forward-error bounds")
     _add_run_flags(bounds_p)

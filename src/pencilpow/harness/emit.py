@@ -110,7 +110,7 @@ def _series_stats(records, attr):
 _SERIES_STYLE = {
     "err_irs": ("irs", "#1f77b4"),
     "err_es": ("es", "#d62728"),
-    "kappa_ap": ("kappa_irs", "#2ca02c"),
+    "kappa_ap": ("kappa_Ap", "#2ca02c"),
 }
 
 _W, _H = 640, 420
@@ -126,14 +126,15 @@ def emit_svg(records, path, title=""):
 
     One polyline per algorithm, with a translucent polygon band spanning
     mean +/- std. Records without error columns (condition-evolution runs)
-    fall back to a single kappa_2(A_p) curve.
+    fall back to a single kappa_2(A_p) curve. Without a finite value to
+    plot, the chart has its title and axes and no series.
     """
     if not records:
         raise ValueError("emit_svg requires at least one record")
-    series = [f for f in ("err_irs", "err_es") if _series_stats(records, f)]
-    if not series:
-        series = ["kappa_ap"]
-    stats = {f: _series_stats(records, f) for f in series}
+    stats = {f: _series_stats(records, f) for f in ("err_irs", "err_es")}
+    if not any(stats.values()):
+        stats = {"kappa_ap": _series_stats(records, "kappa_ap")}
+    series = [f for f in stats if stats[f]]
 
     all_p = sorted({p for f in series for (p, _, _) in stats[f]})
     all_logs = []
@@ -142,8 +143,8 @@ def emit_svg(records, path, title=""):
             all_logs.append(_log10_floor(max(mean - std, 0.0)))
             all_logs.append(_log10_floor(mean + std))
             all_logs.append(_log10_floor(mean))
-    lo, hi = min(all_logs) - 0.5, max(all_logs) + 0.5
-    p_lo, p_hi = min(all_p), max(all_p)
+    lo, hi = (min(all_logs) - 0.5, max(all_logs) + 0.5) if all_logs else (-0.5, 0.5)
+    p_lo, p_hi = (min(all_p), max(all_p)) if all_p else (0, 1)
     if p_hi == p_lo:
         p_hi = p_lo + 1
 

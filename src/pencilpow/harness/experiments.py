@@ -297,9 +297,10 @@ class BoundReportRow:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Bound/measured table plus instrumented kernel call counts at p_max."""
+    """Bound/measured table plus instrumented kernel call counts at ``flops_p``."""
 
     rows: tuple
+    flops_p: int
     flops_irs: kernels.KernelCounts
     flops_es: kernels.KernelCounts
     expected_flops_irs: kernels.KernelCounts
@@ -323,10 +324,12 @@ def run_bound_report(config):
     ||B_p||_2 and kappa_2(A_p)) and the explicit recursion bound are
     evaluated with mu(n) = n^2 and a unit constant on the kappa^log(n)
     inversion factor; an error is NaN where its conversion raised.
-    Instrumented kernel counters for the full p_max runs (up to a raise)
-    check the arithmetic-cost identities
+    Instrumented kernel counters check the arithmetic-cost identities
 
         explicit: 1 INV + (p+1) MM      implicit: 1 INV + p QR + (2p+1) MM
+
+    at the largest p whose row measured both errors, so both paths ran to
+    the end there (at p_max when no row did, and a raise is a mismatch).
     """
     n = config.n
     u = unit_roundoff(config.precision)
@@ -385,20 +388,21 @@ def run_bound_report(config):
                            err_es=err_es, bound_es=bound_es)
         )
 
-    with kernels.count_kernels() as flops_irs, suppress(NumericallySingularError, DomainError):
-        implicit_to_explicit(irs(a0, b0, config.p_max))
-    with kernels.count_kernels() as flops_es, suppress(NumericallySingularError, DomainError):
-        explicit_squaring(a0, b0, config.p_max)
-    expected_irs = kernels.KernelCounts(
-        matmul=2 * config.p_max + 1, qr=config.p_max, inv=1
+    flops_p = max(
+        (row.p for row in rows if not (math.isnan(row.err_irs) or math.isnan(row.err_es))),
+        default=config.p_max,
     )
-    expected_es = kernels.KernelCounts(matmul=config.p_max + 1, qr=0, inv=1)
+    with kernels.count_kernels() as flops_irs, suppress(NumericallySingularError, DomainError):
+        implicit_to_explicit(irs(a0, b0, flops_p))
+    with kernels.count_kernels() as flops_es, suppress(NumericallySingularError, DomainError):
+        explicit_squaring(a0, b0, flops_p)
     return BoundReport(
         rows=tuple(rows),
+        flops_p=flops_p,
         flops_irs=flops_irs,
         flops_es=flops_es,
-        expected_flops_irs=expected_irs,
-        expected_flops_es=expected_es,
+        expected_flops_irs=kernels.KernelCounts(matmul=2 * flops_p + 1, qr=flops_p, inv=1),
+        expected_flops_es=kernels.KernelCounts(matmul=flops_p + 1, qr=0, inv=1),
     )
 
 

@@ -144,14 +144,9 @@ def irs_step(a_j, b_j, step_index=0):
     R_11, so the flag and `RankDeficientStackWarning` fire exactly where
     that SVD says the stack is rank deficient.
     """
-    a_j = square_matrix(a_j, "A_j")
-    b_j = square_matrix(b_j, "B_j")
-    same_precision(a_j, b_j, "irs_step")
-    if a_j.shape != b_j.shape:
-        raise ShapeError(f"irs_step: blocks differ in size: {a_j.shape} vs {b_j.shape}")
+    pencil = Pencil(a_j, b_j)
+    a_j, b_j = pencil.a, pencil.b
     n = a_j.shape[0]
-    if n == 0:
-        raise ShapeError("irs_step requires nonempty blocks, got shape (0, 0)")
     stack = np.vstack([b_j, -a_j])
     qr = kernels.full_qr(stack)
     trace = _stack_diagnostics(stack, qr.R[:n], step_index)

@@ -98,10 +98,6 @@ def test_bounds_singular_a_p_writes_empty_fields(tmp_path):
     assert [int(row[0]) for row in rows] == list(range(1, 11))
     assert rows[-1][1] == "" and rows[-1][3] == ""
     assert all(row[4] for row in rows)  # the explicit path still has every error
-
-
-def test_check_subcommand_passes(capsys):
-    assert cli.main(["check"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 15
-    assert all(line.startswith("PASS  ") for line in lines)
+    # the kernel calls are counted at p = 9, the last p both paths completed
+    manifest = (out / "manifest.txt").read_text()
+    assert "flops_p = 9" in manifest and "flops_match = True" in manifest

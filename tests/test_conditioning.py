@@ -226,6 +226,24 @@ def test_chain_random_pencil():
     assert report.sigma_min_mp >= report.d_ab - 2 * report.tol
 
 
+def test_chain_sweeps_the_roots_once(monkeypatch):
+    rng = rng_for(51)
+    a = gen_ginibre(3, rng)
+    b = gen_ginibre(3, rng)
+    shapes = []
+    original = kernels._singular_values
+
+    def counting(x):
+        shapes.append(x.shape)
+        return original(x)
+
+    monkeypatch.setattr(kernels, "_singular_values", counting)
+    report = conditioning.condition_chain_check(a, b, 3)
+    assert shapes.count((8, 3, 3)) == 1
+    assert report.sigma_min_mp == conditioning.sigma_min_mp(a, b, 3)
+    assert report.kappa_irs == conditioning.kappa_irs(a, b, 3)
+
+
 # --- perturbation property -------------------------------------------------------------
 
 def test_mp_perturbation_shift_bound():

@@ -95,7 +95,7 @@ def test_svg_kappa_fallback(tmp_path):
     ns = "{http://www.w3.org/2000/svg}"
     polylines = root.findall(f"{ns}polyline")
     assert len(polylines) == 1
-    assert polylines[0].get("class") == "mean-kappa_irs"
+    assert polylines[0].get("class") == "mean-kappa_Ap"
 
 
 def test_series_stats_finite_for_huge_errors():
@@ -128,6 +128,17 @@ def test_svg_skips_infinite_kappa(tmp_path):
     points = [el.get("points") for el in root.iter() if el.get("points") is not None]
     assert points
     assert not any("nan" in pts or "inf" in pts for pts in points)
+
+
+@pytest.mark.parametrize("kappa_ap", [float("inf"), float("nan")])
+def test_svg_without_finite_values_has_axes_and_no_series(tmp_path, kappa_ap):
+    path = tmp_path / "empty.svg"
+    emit_svg([TrialRecord(trial=0, p=1, kappa_ap=kappa_ap)], path, title="empty")
+    root = ET.parse(path).getroot()
+    ns = "{http://www.w3.org/2000/svg}"
+    assert len(root.findall(f"{ns}line")) == 2  # the two axes, no legend
+    assert not root.findall(f"{ns}polyline") and not root.findall(f"{ns}polygon")
+    assert "empty" in [el.text for el in root.findall(f"{ns}text")]
 
 
 def test_series_stats_scaling_is_exact():

@@ -12,6 +12,7 @@ from pencilpow.errors import (
     DomainError,
     NumericallySingularError,
     PencilPowError,
+    PrecisionMismatchError,
     RankDeficientStackWarning,
     ShapeError,
 )
@@ -462,7 +463,17 @@ def test_explicit_error_within_propagation_ceiling():
 # --- validation -------------------------------------------------------------------
 
 def test_pencil_validation():
-    with pytest.raises(ShapeError):
-        squaring.Pencil(np.eye(2), np.eye(3))
-    with pytest.raises(ShapeError):
-        squaring.Pencil(np.ones((2, 3)), np.ones((2, 3)))
+    # irs_step validates its blocks as a Pencil: the same inputs raise the same errors
+    non_finite = np.eye(2, dtype=complex)
+    non_finite[0, 1] = np.nan
+    cases = [
+        ((np.eye(2), np.eye(3)), ShapeError),
+        ((np.ones((2, 3)), np.ones((2, 3))), ShapeError),
+        ((np.eye(2, dtype=np.complex64), np.eye(2, dtype=np.complex128)), PrecisionMismatchError),
+        ((non_finite, np.eye(2)), DomainError),
+        ((np.eye(2), non_finite), DomainError),
+    ]
+    for validate in (squaring.Pencil, squaring.irs_step):
+        for args, error in cases:
+            with pytest.raises(error):
+                validate(*args)
