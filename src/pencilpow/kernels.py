@@ -319,28 +319,39 @@ def _kappa_sigma(a):
     return kappa, float(sv[-1])
 
 
+def _pow2_scaled(a):
+    """``(a * 2^-e, e)``, e the ``math.frexp`` exponent of ``a``'s largest real
+    or imaginary part (0 for an empty or all-zero ``a``).
+
+    Every entry of the scaled matrix has modulus below sqrt(2), so its norms
+    cannot overflow, and the scaling is exact for every entry that stays in
+    the normal range. No 2^-e is formed: it can overflow.
+    """
+    if a.size == 0:
+        return a, 0
+    parts = np.ascontiguousarray(a).view(a.real.dtype)  # real and imaginary parts
+    _, e = math.frexp(float(np.abs(parts).max()))
+    return np.ldexp(parts, -e).view(a.dtype), e
+
+
 def spectral_norm(a):
     """Largest singular value of ``a``, from the eigenvalues of a Gram matrix.
 
-    ``a`` is scaled by 2^-e, e the ``math.frexp`` exponent of its largest
-    real or imaginary part, so every entry has modulus below sqrt(2) and
-    the Gram matrix cannot overflow. The scaling is exact for every entry
-    that stays in the normal range. The Gram matrix of the smaller side
-    (a^H a or a a^H, plain ``@``, in ``a``'s precision) has sigma_1^2 as its
-    largest eigenvalue, and by Weyl's inequality ``np.linalg.eigvalsh``
-    returns it with an error of order n u sigma_1^2 (Golub and Van Loan,
-    *Matrix Computations*, section 8.1): sigma_1 comes back within about
-    n u, as from an SVD, in about half the SVD's time at n = 128. The same
-    error is only relative to sigma_1^2, so the smallest singular value
-    (`smallest_singular`, `_kappa_sigma`) keeps the SVD. Not tallied. An
-    empty or all-zero ``a`` has norm 0.
+    ``a`` is scaled by `_pow2_scaled`, so the Gram matrix cannot overflow.
+    The Gram matrix of the smaller side (a^H a or a a^H, plain ``@``, in
+    ``a``'s precision) has sigma_1^2 as its largest eigenvalue, and by
+    Weyl's inequality ``np.linalg.eigvalsh`` returns it with an error of
+    order n u sigma_1^2 (Golub and Van Loan, *Matrix Computations*, section
+    8.1): sigma_1 comes back within about n u, as from an SVD, in about half
+    the SVD's time at n = 128. The same error is only relative to
+    sigma_1^2, so the smallest singular value (`smallest_singular`,
+    `_kappa_sigma`) keeps the SVD. Not tallied. An empty or all-zero ``a``
+    has norm 0.
     """
     a = as_matrix(a, "a")
     if min(a.shape) == 0:
         return 0.0
-    parts = np.ascontiguousarray(a).view(a.real.dtype)  # real and imaginary parts
-    _, e = math.frexp(float(np.abs(parts).max()))
-    x = np.ldexp(parts, -e).view(a.dtype)  # no 2^-e is formed: it can overflow
+    x, e = _pow2_scaled(a)
     gram = x.conj().T @ x if x.shape[0] >= x.shape[1] else x @ x.conj().T
     try:
         lam = float(np.linalg.eigvalsh(gram)[-1])

@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from pencilpow import expm as expmod
 from pencilpow import kernels
-from pencilpow.errors import DomainError, NumericallySingularError
+from pencilpow.errors import DomainError, NumericallySingularError, PencilPowError
 from pencilpow.harness.generators import gen_ginibre, make_ill_conditioned
 
 from conftest import ginibre, rel_err, rng_for
@@ -33,7 +34,113 @@ def test_select_scaling_thresholds_per_degree():
     assert expmod.select_scaling(m, 9) == 0
 
 
+def _loop_scaling(m, degree):
+    # the plain search over s, for 1-norms that do not overflow
+    norm1 = float(np.linalg.norm(m, 1))
+    s = 0
+    while norm1 / 2.0 ** s > expmod.PADE_THETA[degree]:
+        s += 1
+    return s
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+def test_select_scaling_matches_the_plain_search(dtype):
+    rng = rng_for(76)
+    for degree, theta in expmod.PADE_THETA.items():
+        # norms exactly at theta 2^k, one ulp either side of it, and random
+        for k in (-3, 0, 1, 7, 40):
+            at = dtype(theta * 2.0 ** k).real
+            for norm in (at, np.nextafter(at, 0), np.nextafter(at, np.inf)):
+                m = np.diag([norm, norm / 3]).astype(dtype)
+                assert expmod.select_scaling(m, degree) == _loop_scaling(m, degree)
+        m = (ginibre(5, rng) * 10.0 ** rng.uniform(-20, 20)).astype(dtype)
+        assert expmod.select_scaling(m, degree) == _loop_scaling(m, degree)
+
+
+@pytest.mark.parametrize("backend", ["explicit", "irs"])
+@pytest.mark.parametrize("dtype, modulus", [(np.complex128, 1e308), (np.complex64, 1e38)])
+def test_expm_on_entries_near_overflow_is_finite_or_structured(dtype, modulus, backend):
+    # the 1-norm of these matrices overflows; s still comes out finite
+    m = np.full((4, 4), modulus * np.exp(0.3j), dtype=dtype)
+    assert np.all(np.isfinite(m))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # scaling by 2^-60 is exact and takes 60 squarings off
+        assert expmod.select_scaling(m) == _loop_scaling(m * dtype(2.0 ** -60), 13) + 60
+        try:
+            result = expmod.expm(m, expmod.ExpmConfig(squaring_backend=backend))
+        except PencilPowError:
+            return
+    assert np.all(np.isfinite(result))
+
+
 # --- pade --------------------------------------------------------------------
+
+def _horner_pade(x, degree):
+    # the two Horner recurrences in X^2 the even/odd scheme replaced
+    c = expmod._pade_coefficients(degree)
+    eye = np.eye(x.shape[0], dtype=x.dtype)
+    x2 = x @ x
+    parts = []
+    for coeffs in (c[0::2][::-1], c[1::2][::-1]):
+        acc = coeffs[0] * eye
+        for coeff in coeffs[1:]:
+            acc = acc @ x2 + coeff * eye
+        parts.append(acc)
+    even, odd = parts[0], x @ parts[1]
+    return even + odd, even - odd
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+def test_pade_agrees_with_horner(dtype):
+    # both evaluations are within a few u of sum |b_k| ||X||_1^k of the exact
+    # polynomials, at every degree, for ||X||_1 at the degree's theta and below
+    rng = rng_for(80)
+    u = 2.0 ** -24 if dtype == np.complex64 else 2.0 ** -53
+    for degree in range(1, 14):
+        theta = min(t for m, t in expmod.PADE_THETA.items() if m >= degree)
+        b = expmod._pade_coefficients(degree)
+        for scale in (theta, theta / 8):
+            x = ginibre(16, rng)
+            x = (x * (scale / np.linalg.norm(x, 1))).astype(dtype)
+            tol = 10 * u * sum(bk * scale ** k for k, bk in enumerate(b))
+            for got, want in zip(expmod.pade_numerator_denominator(x, degree),
+                                 _horner_pade(x, degree)):
+                assert got.dtype == dtype
+                assert np.linalg.norm(got - want, 1) <= tol, degree
+
+
+def test_pade_product_counts():
+    x = ginibre(6, rng_for(81)) / 6.0
+    gates = {13: 6, 9: 5, 7: 4, 5: 3, 3: 2}
+    for degree in range(1, 14):
+        with kernels.count_kernels() as counts:
+            expmod.pade_numerator_denominator(x, degree)
+        assert counts.matmul <= degree + 1, degree  # the Horner recurrences' count
+        if degree in gates:
+            assert counts.matmul == gates[degree], degree
+        assert counts == kernels.KernelCounts(matmul=counts.matmul)
+
+
+def test_expm_at_s_zero_counts():
+    m = 0.5 * ginibre(6, rng_for(74)) / 6.0
+    for backend in ("explicit", "irs"):
+        with kernels.count_kernels() as counts:
+            expmod.expm(m, expmod.ExpmConfig(squaring_backend=backend, scaling_override=0))
+        assert counts == kernels.KernelCounts(matmul=7, inv=1)
+
+
+@pytest.mark.parametrize("backend", ["explicit", "irs"])
+@pytest.mark.parametrize("dtype, scale", [(np.complex128, 1e100), (np.complex64, 1e20)])
+def test_pade_overflow_names_the_stage(dtype, scale, backend):
+    # X^2 (complex64) or X^4 (complex128) overflows; the input itself is finite
+    m = scale * np.eye(3, dtype=dtype)
+    config = expmod.ExpmConfig(squaring_backend=backend, scaling_override=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="pade"):
+            expmod.expm(m, config)
+
 
 def test_pade_zero_input_gives_identity():
     p, q = expmod.pade_numerator_denominator(np.zeros((4, 4)), 13)
