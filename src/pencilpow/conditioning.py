@@ -22,7 +22,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConvergenceError, NearSingularNodeError, ShapeError
-from .precision import unit_roundoff
+from .precision import _finite, unit_roundoff
 from .squaring import Pencil
 
 __all__ = [
@@ -61,11 +61,25 @@ def _roots_of_minus_one(p):
     return (2.0 * j - 1.0) * np.pi / m
 
 
-def _shifted_sigma_n(a, b, thetas):
-    """sigma_n(-A + e^{i theta} B) for each theta, batched."""
+def _shifted_sigma_n(a, b, thetas, name):
+    """sigma_n(-A + e^{i theta} B) for each theta, batched.
+
+    Raises `DomainError` naming the caller ``name`` when a shifted pencil
+    or its singular values overflow (entries of A and B near the overflow
+    threshold).
+    """
     shifts = np.exp(1j * np.asarray(thetas, dtype=np.float64))
-    pencils = -a[None, :, :] + shifts[:, None, None].astype(a.dtype) * b[None, :, :]
-    return kernels._singular_values(pencils)[:, -1]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked next
+        pencils = -a[None, :, :] + shifts[:, None, None].astype(a.dtype) * b[None, :, :]
+    _finite(pencils, name, "a shifted pencil")
+    return _finite(kernels._singular_values(pencils)[:, -1], name, "a shifted pencil's sigma_n")
+
+
+def _hermitian_sum(a, b, name):
+    """A A^H + B B^H, or `DomainError` naming the caller ``name`` when it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked next
+        h = a @ a.conj().T + b @ b.conj().T
+    return _finite(h, name, "A A^H + B B^H")
 
 
 def build_mp_dense(a, b, p):
@@ -96,7 +110,7 @@ def sigma_min_mp(a, b, p):
     a, b = _validated(a, b)
     if p < 1:
         raise ShapeError(f"sigma_min_mp requires p >= 1, got {p}")
-    return float(np.min(_shifted_sigma_n(a, b, _roots_of_minus_one(p))))
+    return float(np.min(_shifted_sigma_n(a, b, _roots_of_minus_one(p), "sigma_min_mp")))
 
 
 def kappa_irs(a, b, p):
@@ -145,13 +159,13 @@ def distance_ill_posed(a, b):
     """
     a, b = _validated(a, b)
     thetas = np.linspace(0.0, 2.0 * np.pi, GRID_POINTS, endpoint=False)
-    vals = _shifted_sigma_n(a, b, thetas)
+    vals = _shifted_sigma_n(a, b, thetas, "distance_ill_posed")
     k = int(np.argmin(vals))
     best = float(vals[k])
     h = 2.0 * np.pi / GRID_POINTS
 
     def objective(theta):
-        return float(_shifted_sigma_n(a, b, [theta])[0])
+        return float(_shifted_sigma_n(a, b, [theta], "distance_ill_posed")[0])
 
     refined = _golden_section(objective, thetas[k] - h, thetas[k] + h, _REFINE_ITERS)
     return min(best, refined)
@@ -174,7 +188,7 @@ def omega_malyshev(a, b):
     """
     a, b = _validated(a, b)
     n = a.shape[0]
-    h = a @ a.conj().T + b @ b.conj().T
+    h = _hermitian_sum(a, b, "omega_malyshev")
     stack_norm = kernels.spectral_norm(np.vstack([a, b]))
 
     def estimate(num_nodes):
@@ -262,7 +276,7 @@ def condition_chain_check(a, b, p):
     roundoff = 10.0 * n * unit_roundoff(a) * stack_norm
     grid_slack = kernels.spectral_norm(b) * np.pi / GRID_POINTS
     tol = roundoff + grid_slack
-    hermitian = a @ a.conj().T + b @ b.conj().T
+    hermitian = _hermitian_sum(a, b, "condition_chain_check")
     tail = math.sqrt(max(kernels.smallest_singular(hermitian), 0.0)) / (14.0 * omega)
     return ConditionReport(
         sigma_min_mp=smin,

@@ -17,7 +17,7 @@ import numpy as np
 from .. import kernels
 from ..conditioning import kappa_irs
 from ..errors import DomainError, NumericallySingularError
-from ..expm import ExpmConfig, _final_pencil
+from ..expm import _final_pencil
 from ..kernels import _kappa_sigma
 from ..precision import dtype_for, unit_roundoff
 from ..squaring import explicit_iter, explicit_squaring, implicit_to_explicit, irs, irs_iter
@@ -251,7 +251,7 @@ def run_expm_experiment(config):
         reference = (v * np.exp(d)[None, :]) @ v_inv
         ref_norm = kernels.spectral_norm(reference)
         kappa_v, _ = _kappa_sigma(v)
-        q, p, s = _final_pencil(m, ExpmConfig())
+        q, p, s = _final_pencil(m)
         err_es = _rel_err(lambda: explicit_squaring(q, p, s), reference, ref_norm)
         if s == 0:  # both backends evaluate q(X)^-1 p(X)
             a_s, err_irs = q, err_es

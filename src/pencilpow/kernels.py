@@ -292,7 +292,7 @@ def _rank_deficient(sigma_n, sigma_1, n, u):
     """The library's one numerical-rank verdict: ``sigma_n < n u sigma_1``, or 0.
 
     The zero clause catches the zero matrix, which the strict comparison
-    misses. `_screen_passes` certifies a False verdict without an SVD.
+    misses. `_rank_verdict` certifies a False verdict without an SVD.
     """
     return bool(sigma_n < n * u * sigma_1 or sigma_n == 0)
 
@@ -390,20 +390,30 @@ def _tri_inv(r):
     return x
 
 
-def _screen_passes(r, r_inv):
-    """Whether ``||r||_F ||r_inv||_F < 1 / (n^2 u)``, with every value finite.
+def _rank_verdict(r, r_inv, fallback):
+    """``(sigma_1, sigma_n, deficient)`` of a square matrix with the singular values of r.
 
-    ``r_inv`` is r^-1, or any matrix with the same Frobenius norm, such as
-    ``R^-1 Q^H``. Since ``sigma_n(r) >= 1 / ||r^-1||_F`` and
-    ``||r||_2 <= ||r||_F``, a pass certifies ``sigma_n(r) > n u ||r||_2``
-    with a spare factor n that covers the rounding in the computed inverse:
-    `_rank_deficient` is False. A NaN or inf in either matrix makes its norm
-    non-finite, which fails.
+    The screen: ``r_inv`` is r^-1, or any matrix with the same Frobenius
+    norm, such as ``R^-1 Q^H``, or None when there is none. Since
+    ``sigma_n(r) >= 1 / ||r_inv||_F`` and ``||r||_2 <= ||r||_F``,
+    ``||r||_F ||r_inv||_F < 1 / (n^2 u)`` certifies ``sigma_n(r) > n u
+    ||r||_2`` with a spare factor n that covers the rounding in the computed
+    inverse: the result is ``(||r||_F, 1 / ||r_inv||_F, False)``, bounds on
+    the two singular values, without an SVD. A NaN or inf in either matrix
+    makes its norm non-finite, which fails the screen. Otherwise the exact
+    singular values of ``fallback`` (``r`` itself, or the matrix it was
+    factored from) are returned with `_rank_deficient`'s verdict.
     """
     n = r.shape[0]
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite product fails
-        product = np.linalg.norm(r) * np.linalg.norm(r_inv)
-    return bool(product < 1.0 / (n * n * unit_roundoff(r)))
+    u = unit_roundoff(r)
+    if r_inv is not None:
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite product fails
+            norm_r, norm_inv = np.linalg.norm(r), np.linalg.norm(r_inv)
+            passes = norm_r * norm_inv < 1.0 / (n * n * u)
+        if passes:
+            return float(norm_r), float(1.0 / norm_inv), False
+    sv = _singular_values(fallback)
+    return float(sv[0]), float(sv[-1]), _rank_deficient(sv[-1], sv[0], n, u)
 
 
 def invert(a):
@@ -421,10 +431,10 @@ def invert(a):
 
     The singularity guard needs an SVD of ``a`` only near its threshold. The
     factors screen it first: ``kappa_2(a) = kappa_2(R)`` and
-    ``||X||_F = ||R^-1||_F``, so finite factors and X that pass
-    `_screen_passes` (``||R||_F ||X||_F < 1 / (n^2 u)``, a factor n inside
-    the guard's ``1 / (n u)``) are returned without one. Any other input runs
-    the exact guard, so the error fires on the same inputs either way.
+    ``||X||_F = ||R^-1||_F``, so factors and X that pass `_rank_verdict`'s
+    screen (``||R||_F ||X||_F < 1 / (n^2 u)``, a factor n inside the guard's
+    ``1 / (n u)``) are returned without one. Any other input runs the exact
+    guard, so the error fires on the same inputs either way.
     """
     a = square_matrix(a, "a")
     n = a.shape[0]
@@ -438,17 +448,10 @@ def invert(a):
             x = np.linalg.solve(qr.R, qr.Q.conj().T)
         except np.linalg.LinAlgError:  # an exactly singular R
             x = None
-        finite = (
-            x is not None
-            and np.isfinite(x).all()
-            and np.isfinite(qr.R).all()
-            and np.isfinite(qr.Q).all()
-        )
-        if finite and _screen_passes(qr.R, x):
-            return np.ascontiguousarray(x)
-    sv = _singular_values(a)
-    if _rank_deficient(sv[-1], sv[0], n, unit_roundoff(a)):
-        raise NumericallySingularError("invert: matrix is numerically singular", sv[-1])
-    if not finite:
-        raise NumericallySingularError("invert: QR factors or inverse are not finite", sv[-1])
+    _, sigma_n, deficient = _rank_verdict(qr.R, x, a)
+    if deficient:
+        raise NumericallySingularError("invert: matrix is numerically singular", sigma_n)
+    # a non-finite Q makes X non-finite too
+    if x is None or not (np.isfinite(x).all() and np.isfinite(qr.R).all()):
+        raise NumericallySingularError("invert: QR factors or inverse are not finite", sigma_n)
     return np.ascontiguousarray(x)

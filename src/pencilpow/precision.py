@@ -73,6 +73,13 @@ def as_matrix(a, name="matrix"):
     return a
 
 
+def _finite(z, name, what):
+    """``z``, or `DomainError` naming ``name`` when ``what`` has overflowed to non-finite values."""
+    if not np.isfinite(z).all():
+        raise DomainError(f"{name}: {what} overflowed")
+    return z
+
+
 def same_precision(a, b, op):
     """Raise unless two matrices share a dtype."""
     if a.dtype != b.dtype:

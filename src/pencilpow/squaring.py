@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DomainError, RankDeficientStackWarning, ShapeError
-from .precision import same_precision, square_matrix, unit_roundoff
+from .precision import _finite, same_precision, square_matrix
 
 __all__ = [
     "Pencil",
@@ -92,22 +92,14 @@ def _stack_diagnostics(stack, r11, step_index):
     # sigma(stack) = sigma(R_11), and R_11 is n x n where the stack is 2n x n;
     # a stack scaled into the subnormal range can leave R non-finite
     finite = np.isfinite(r11).all()
+    r_inv = None
     if finite:
         with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the screen
             try:
                 r_inv = kernels._tri_inv(r11)
             except np.linalg.LinAlgError:  # an exactly zero diagonal entry
-                r_inv = None
-        if r_inv is not None and kernels._screen_passes(r11, r_inv):
-            return IRSStepTrace(
-                step_index=step_index,
-                norm_stack_ub=float(np.linalg.norm(r11)),
-                sigma_n_lb=float(1.0 / np.linalg.norm(r_inv)),
-            )
-    # the screen cannot decide: the exact singular values do
-    sv = kernels._singular_values(r11 if finite else stack)
-    norm_stack, sigma_n = float(sv[0]), float(sv[-1])
-    warn = kernels._rank_deficient(sigma_n, norm_stack, r11.shape[0], unit_roundoff(stack))
+                pass
+    norm_stack, sigma_n, warn = kernels._rank_verdict(r11, r_inv, r11 if finite else stack)
     if warn:
         warnings.warn(
             f"implicit squaring step {step_index}: stacked block is numerically "
@@ -246,5 +238,11 @@ def spectral_projector(run):
     Equals ``(I + (a^-1 b)^(2^p))^-1`` in exact arithmetic; as p grows it
     approaches the projector onto the eigenspace of pencil eigenvalues
     (A v = lambda B v) outside the unit disk.
+
+    Raises `NumericallySingularError` when a_p + b_p is numerically
+    singular, and `DomainError` when that sum or the product overflows.
     """
-    return kernels.matmul(kernels.invert(run.a_p + run.b_p), run.a_p)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked next
+        total = run.a_p + run.b_p
+    _finite(total, "spectral_projector", "a_p + b_p")
+    return _product(kernels.invert(total), run.a_p, "spectral_projector: (a_p + b_p)^-1 a_p")

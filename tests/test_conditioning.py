@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pencilpow import conditioning, kernels
-from pencilpow.errors import NearSingularNodeError, ShapeError
+from pencilpow.errors import DomainError, NearSingularNodeError, ShapeError
 from pencilpow.harness.generators import gen_ginibre, gen_haar
 
 from conftest import rng_for
@@ -182,6 +182,35 @@ def test_omega_tail_bound():
     h = a @ a.conj().T + b @ b.conj().T
     tail = math.sqrt(kernels.smallest_singular(h)) / (14.0 * omega)
     assert dist > tail
+
+
+# --- entries near overflow --------------------------------------------------------
+
+@pytest.mark.parametrize("diagonal", [(1e308, 1e308), (1e308, 1.0)])
+def test_shifted_pencil_overflow_raises_domain_error(diagonal):
+    # -A + e^{i theta} B, or its 2-norm, exceeds the float range
+    a = np.diag(diagonal).astype(complex)
+    calls = [
+        ("sigma_min_mp", lambda: conditioning.sigma_min_mp(a, a, 2)),
+        ("sigma_min_mp", lambda: conditioning.kappa_irs(a, a, 2)),
+        ("distance_ill_posed", lambda: conditioning.distance_ill_posed(a, a)),
+        ("omega_malyshev", lambda: conditioning.omega_malyshev(a, a)),
+        ("sigma_min_mp", lambda: conditioning.condition_chain_check(a, a, 2)),
+    ]
+    for name, call in calls:
+        with pytest.raises(DomainError, match=name):
+            call()
+
+
+def test_hermitian_sum_overflow_raises_domain_error():
+    # A A^H + B B^H = 1e401 I overflows although the shifted pencils do not
+    a = 1e200 * np.eye(2, dtype=complex)
+    b = 3e200 * np.eye(2, dtype=complex)
+    assert conditioning.distance_ill_posed(a, b) == pytest.approx(2e200)
+    with pytest.raises(DomainError, match="omega_malyshev: A A\\^H"):
+        conditioning.omega_malyshev(a, b)
+    with pytest.raises(DomainError, match="omega_malyshev"):
+        conditioning.condition_chain_check(a, b, 2)
 
 
 # --- condition_chain_check ------------------------------------------------------------

@@ -12,11 +12,12 @@ DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
     # a fresh interpreter in a scratch directory, so files a demo writes
-    # (05's figure_output/) land there and not in the checkout
+    # (05's figure_output/) land there and not in the checkout; numpy's
+    # warnings are errors, as in the test suite
     path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     result = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env,
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)], cwd=tmp_path, env=env,
         capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr

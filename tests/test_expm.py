@@ -19,26 +19,26 @@ def test_select_scaling_zero_matrix():
 
 
 def test_select_scaling_under_threshold():
-    assert expmod.select_scaling(np.diag([4.0, 1.0]).astype(complex), 13) == 0
+    assert expmod.select_scaling(np.diag([4.0, 1.0]).astype(complex)) == 0
 
 
 def test_select_scaling_norm_hundred():
     # 100 / 32 = 3.125 <= theta_13 < 100 / 16
     m = np.diag([100.0, 1.0]).astype(complex)
-    assert expmod.select_scaling(m, 13) == 5
+    assert expmod.select_scaling(m) == 5
 
 
-def test_select_scaling_thresholds_per_degree():
-    m = np.diag([1.0]).astype(complex)
-    assert expmod.select_scaling(m, 3) == 7   # 1 / 2^7 < 0.01495 < 1 / 2^6
-    assert expmod.select_scaling(m, 9) == 0
+def test_select_scaling_threshold():
+    # theta_13 = 5.37: a 1-norm of 5 needs no scaling, 6 needs one halving
+    assert expmod.select_scaling(np.diag([5.0]).astype(complex)) == 0
+    assert expmod.select_scaling(np.diag([6.0]).astype(complex)) == 1
 
 
-def _loop_scaling(m, degree):
+def _loop_scaling(m):
     # the plain search over s, for 1-norms that do not overflow
     norm1 = float(np.linalg.norm(m, 1))
     s = 0
-    while norm1 / 2.0 ** s > expmod.PADE_THETA[degree]:
+    while norm1 / 2.0 ** s > expmod._THETA_13:
         s += 1
     return s
 
@@ -46,15 +46,15 @@ def _loop_scaling(m, degree):
 @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
 def test_select_scaling_matches_the_plain_search(dtype):
     rng = rng_for(76)
-    for degree, theta in expmod.PADE_THETA.items():
-        # norms exactly at theta 2^k, one ulp either side of it, and random
-        for k in (-3, 0, 1, 7, 40):
-            at = dtype(theta * 2.0 ** k).real
-            for norm in (at, np.nextafter(at, 0), np.nextafter(at, np.inf)):
-                m = np.diag([norm, norm / 3]).astype(dtype)
-                assert expmod.select_scaling(m, degree) == _loop_scaling(m, degree)
+    # norms exactly at theta 2^k, one ulp either side of it, and random
+    for k in (-3, 0, 1, 7, 40):
+        at = dtype(expmod._THETA_13 * 2.0 ** k).real
+        for norm in (at, np.nextafter(at, 0), np.nextafter(at, np.inf)):
+            m = np.diag([norm, norm / 3]).astype(dtype)
+            assert expmod.select_scaling(m) == _loop_scaling(m)
+    for _ in range(5):
         m = (ginibre(5, rng) * 10.0 ** rng.uniform(-20, 20)).astype(dtype)
-        assert expmod.select_scaling(m, degree) == _loop_scaling(m, degree)
+        assert expmod.select_scaling(m) == _loop_scaling(m)
 
 
 @pytest.mark.parametrize("backend", ["explicit", "irs"])
@@ -66,7 +66,7 @@ def test_expm_on_entries_near_overflow_is_finite_or_structured(dtype, modulus, b
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         # scaling by 2^-60 is exact and takes 60 squarings off
-        assert expmod.select_scaling(m) == _loop_scaling(m * dtype(2.0 ** -60), 13) + 60
+        assert expmod.select_scaling(m) == _loop_scaling(m * dtype(2.0 ** -60)) + 60
         try:
             result = expmod.expm(m, expmod.ExpmConfig(squaring_backend=backend))
         except PencilPowError:
@@ -76,9 +76,9 @@ def test_expm_on_entries_near_overflow_is_finite_or_structured(dtype, modulus, b
 
 # --- pade --------------------------------------------------------------------
 
-def _horner_pade(x, degree):
+def _horner_pade(x):
     # the two Horner recurrences in X^2 the even/odd scheme replaced
-    c = expmod._pade_coefficients(degree)
+    c = expmod._pade_coefficients()
     eye = np.eye(x.shape[0], dtype=x.dtype)
     x2 = x @ x
     parts = []
@@ -94,81 +94,58 @@ def _horner_pade(x, degree):
 @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
 def test_pade_agrees_with_horner(dtype):
     # both evaluations are within a few u of sum |b_k| ||X||_1^k of the exact
-    # polynomials, at every degree, for ||X||_1 at the degree's theta and below
+    # polynomials, for ||X||_1 at theta_13 and below
     rng = rng_for(80)
     u = 2.0 ** -24 if dtype == np.complex64 else 2.0 ** -53
-    for degree in range(1, 14):
-        theta = min(t for m, t in expmod.PADE_THETA.items() if m >= degree)
-        b = expmod._pade_coefficients(degree)
-        for scale in (theta, theta / 8):
-            x = ginibre(16, rng)
-            x = (x * (scale / np.linalg.norm(x, 1))).astype(dtype)
-            tol = 10 * u * sum(bk * scale ** k for k, bk in enumerate(b))
-            for got, want in zip(expmod.pade_numerator_denominator(x, degree),
-                                 _horner_pade(x, degree)):
-                assert got.dtype == dtype
-                assert np.linalg.norm(got - want, 1) <= tol, degree
+    b = expmod._pade_coefficients()
+    for scale in (expmod._THETA_13, expmod._THETA_13 / 8):
+        x = ginibre(16, rng)
+        x = (x * (scale / np.linalg.norm(x, 1))).astype(dtype)
+        tol = 10 * u * sum(bk * scale ** k for k, bk in enumerate(b))
+        for got, want in zip(expmod.pade_numerator_denominator(x), _horner_pade(x)):
+            assert got.dtype == dtype
+            assert np.linalg.norm(got - want, 1) <= tol
 
 
 def test_pade_product_counts():
     x = ginibre(6, rng_for(81)) / 6.0
-    gates = {13: 6, 9: 5, 7: 4, 5: 3, 3: 2}
-    for degree in range(1, 14):
-        with kernels.count_kernels() as counts:
-            expmod.pade_numerator_denominator(x, degree)
-        assert counts.matmul <= degree + 1, degree  # the Horner recurrences' count
-        if degree in gates:
-            assert counts.matmul == gates[degree], degree
-        assert counts == kernels.KernelCounts(matmul=counts.matmul)
+    with kernels.count_kernels() as counts:
+        expmod.pade_numerator_denominator(x)
+    assert counts == kernels.KernelCounts(matmul=6)  # 14 by the Horner recurrences
 
 
 def test_expm_at_s_zero_counts():
     m = 0.5 * ginibre(6, rng_for(74)) / 6.0
+    assert expmod.select_scaling(m) == 0
     for backend in ("explicit", "irs"):
         with kernels.count_kernels() as counts:
-            expmod.expm(m, expmod.ExpmConfig(squaring_backend=backend, scaling_override=0))
+            expmod.expm(m, expmod.ExpmConfig(squaring_backend=backend))
         assert counts == kernels.KernelCounts(matmul=7, inv=1)
 
 
-@pytest.mark.parametrize("backend", ["explicit", "irs"])
 @pytest.mark.parametrize("dtype, scale", [(np.complex128, 1e100), (np.complex64, 1e20)])
-def test_pade_overflow_names_the_stage(dtype, scale, backend):
+def test_pade_overflow_names_the_stage(dtype, scale):
     # X^2 (complex64) or X^4 (complex128) overflows; the input itself is finite
-    m = scale * np.eye(3, dtype=dtype)
-    config = expmod.ExpmConfig(squaring_backend=backend, scaling_override=0)
+    x = scale * np.eye(3, dtype=dtype)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="pade"):
-            expmod.expm(m, config)
+            expmod.pade_numerator_denominator(x)
 
 
 def test_pade_zero_input_gives_identity():
-    p, q = expmod.pade_numerator_denominator(np.zeros((4, 4)), 13)
+    p, q = expmod.pade_numerator_denominator(np.zeros((4, 4)))
     assert np.array_equal(p, np.eye(4))
     assert np.array_equal(q, np.eye(4))
 
 
-def test_pade_degree_one_scalar():
-    x = np.array([[0.3 + 0j]])
-    p, q = expmod.pade_numerator_denominator(x, 1)
-    assert p[0, 0] == pytest.approx(1.15, rel=1e-15)
-    assert q[0, 0] == pytest.approx(0.85, rel=1e-15)
-
-
 def test_pade_13_scalar_matches_exp():
     x = np.array([[0.1 + 0j]])
-    p, q = expmod.pade_numerator_denominator(x, 13)
+    p, q = expmod.pade_numerator_denominator(x)
     value = p[0, 0] / q[0, 0]
     # the [13/13] approximant at 0.1 is exact far past double precision, so
     # the computed quotient must sit within a couple of ulps of exp(0.1)
     assert abs(value - math.exp(0.1)) <= 5e-16
-
-
-def test_degree_validation():
-    with pytest.raises(DomainError):
-        expmod.pade_numerator_denominator(np.eye(2), 0)
-    with pytest.raises(DomainError):
-        expmod.select_scaling(np.eye(2), 11)  # no theta threshold for 11
 
 
 # --- expm ----------------------------------------------------------------------
@@ -222,19 +199,6 @@ def test_expm_s_zero_identical_under_both_backends():
     explicit = expmod.expm(m, expmod.ExpmConfig(squaring_backend="explicit"))
     implicit = expmod.expm(m, expmod.ExpmConfig(squaring_backend="irs"))
     assert np.array_equal(explicit, implicit)
-    forced = expmod.ExpmConfig(squaring_backend="irs", scaling_override=0)
-    assert np.array_equal(expmod.expm(20.0 * m, forced),
-                          expmod.expm(20.0 * m, expmod.ExpmConfig(scaling_override=0)))
-
-
-def test_expm_scaling_override_matches_backends():
-    rng = rng_for(73)
-    m = 20.0 * ginibre(8, rng)
-    s = expmod.select_scaling(m)
-    assert s > 0
-    forced = expmod.expm(m, expmod.ExpmConfig(scaling_override=s))
-    default = expmod.expm(m)
-    assert np.array_equal(forced, default)
 
 
 def test_expm_spectral_radius_ceiling():
@@ -262,18 +226,13 @@ def test_expm_eigenvalues_track_scalar_exp():
 
 
 def test_expm_singular_denominator():
-    # the degree-3 denominator evaluates to an exact float zero at this
-    # point, so q(M) = diag(0, 1) is singular
-    root = 4.644370709252169
-    m = np.diag([root, 0.0]).astype(complex)
+    # q(X) is nonsingular for ||X||_1 <= theta_13, but the final A_s of the
+    # implicit run is not: e^40 and e^0 differ by more than 1 / u
+    m = np.diag([40.0, 0.0])
     with pytest.raises(NumericallySingularError):
-        expmod.expm(m, expmod.ExpmConfig(pade_degree=3, scaling_override=0))
+        expmod.expm(m, expmod.ExpmConfig(squaring_backend="irs"))
 
 
 def test_expm_config_validation():
     with pytest.raises(DomainError):
         expmod.ExpmConfig(squaring_backend="fast")
-    with pytest.raises(DomainError):
-        expmod.ExpmConfig(pade_degree=12)
-    with pytest.raises(DomainError):
-        expmod.ExpmConfig(scaling_override=-1)

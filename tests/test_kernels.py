@@ -406,6 +406,20 @@ def test_invert_skips_guard_svd_when_well_conditioned(monkeypatch):
         assert np.linalg.norm(x @ a - np.eye(32), 2) <= 1e3 * unit_roundoff(a)
 
 
+def test_rank_verdict_screens_before_the_svd():
+    rng = rng_for(17)
+    r = np.triu(ginibre(8, rng)) + 4 * np.eye(8)
+    r_inv = np.linalg.inv(r)
+    bounds = (float(np.linalg.norm(r)), float(1.0 / np.linalg.norm(r_inv)), False)
+    # a passing screen never reads the fallback
+    assert kernels._rank_verdict(r, r_inv, None) == bounds
+    sv = np.linalg.svd(r, compute_uv=False)
+    for failing in (None, np.full_like(r, np.inf)):
+        assert kernels._rank_verdict(r, failing, r) == (sv[0], sv[-1], False)
+    rank_one = np.outer(ginibre(8, rng)[:, 0], ginibre(8, rng)[0])
+    assert kernels._rank_verdict(rank_one, None, rank_one)[2]
+
+
 def test_invert_rejects_rectangular():
     for shape in [(2, 3), (0, 0)]:
         with pytest.raises(ShapeError):

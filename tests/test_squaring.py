@@ -328,6 +328,23 @@ def test_implicit_to_explicit_overflow_raises_domain_error(dtype):
         squaring.implicit_to_explicit(run)
 
 
+def test_spectral_projector_overflow_raises_domain_error():
+    # (a_p + b_p)^-1 has entries near 1e3 and a_p one of 1.5e308, so their
+    # product overflows; in the second run the sum itself does
+    big = 1.5e308
+    runs = [
+        ([[big, 1e-3], [1e-3, 1e-3]], [[-big, 0.0], [0.0, 0.0]], "a_p"),
+        ([[big, 0.0], [0.0, 1.0]], [[big, 0.0], [0.0, 1.0]], "a_p \\+ b_p overflowed"),
+    ]
+    for a_p, b_p, match in runs:
+        run = squaring.IRSRun(a_p=np.array(a_p, dtype=np.complex128),
+                              b_p=np.array(b_p, dtype=np.complex128), trace=())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"spectral_projector: .*{match}"):
+                squaring.spectral_projector(run)
+
+
 def test_implicit_and_explicit_agree():
     pencil, _ = well_conditioned_pencil(8, seed=27)
     run = squaring.irs(pencil.a, pencil.b, 4)
