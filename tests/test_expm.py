@@ -123,14 +123,20 @@ def test_expm_at_s_zero_counts():
         assert counts == kernels.KernelCounts(matmul=7, inv=1)
 
 
+@pytest.mark.parametrize("backend", ["explicit", "irs"])
 @pytest.mark.parametrize("dtype, scale", [(np.complex128, 1e100), (np.complex64, 1e20)])
-def test_pade_overflow_names_the_stage(dtype, scale):
+def test_pade_overflow_names_the_stage(dtype, scale, backend):
     # X^2 (complex64) or X^4 (complex128) overflows; the input itself is finite
     x = scale * np.eye(3, dtype=dtype)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="pade"):
             expmod.pade_numerator_denominator(x)
+        # expm scales X below theta_13 first, so its Padé stage stays finite
+        # and the structured failure names the squaring stage after it
+        with pytest.raises(PencilPowError) as info:
+            expmod.expm(x, expmod.ExpmConfig(squaring_backend=backend))
+    assert "pade" not in str(info.value)
 
 
 def test_pade_zero_input_gives_identity():
