@@ -11,9 +11,8 @@ from itertools import islice
 
 import numpy as np
 
-from pencilpow import explicit_squaring, implicit_to_explicit
-from pencilpow.squaring import irs_iter
-from pencilpow.harness import build_test_pencil, gen_ginibre, gen_haar, sample_spectrum
+from pencilpow.harness.generators import build_test_pencil, gen_ginibre, gen_haar, sample_spectrum
+from pencilpow.squaring import explicit_squaring, implicit_to_explicit, irs_iter
 
 n, p_max, seed = 32, 8, 12345
 

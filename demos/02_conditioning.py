@@ -8,16 +8,16 @@ pencil, and Malyshev's omega all line up in one inequality chain.
 
 import numpy as np
 
-from pencilpow import (
+from pencilpow.conditioning import (
     build_mp_dense,
     condition_chain_check,
     distance_ill_posed,
     kappa_irs,
     omega_malyshev,
     sigma_min_mp,
-    smallest_singular,
 )
-from pencilpow.harness import build_test_pencil, gen_ginibre, gen_haar
+from pencilpow.harness.generators import build_test_pencil, gen_ginibre, gen_haar
+from pencilpow.kernels import smallest_singular
 
 n, seed = 4, 777
 rng = np.random.Generator(np.random.Philox(seed))

@@ -11,14 +11,15 @@ kernel via the triangular-norm inequality demonstrated below.
 
 import numpy as np
 
-from pencilpow import (
+from pencilpow.harness.generators import gen_ginibre, gen_haar
+from pencilpow.kernels import full_qr
+from pencilpow.qrperturb import (
     align_complement,
     lebesgue_constant,
     qr_perturb_certificate,
     sun_alpha,
     triangular_norm_check,
 )
-from pencilpow.harness import gen_ginibre, gen_haar
 
 rng = np.random.Generator(np.random.Philox(2024))
 
@@ -47,8 +48,6 @@ for target in (0.05, 0.2, 0.5):
           f"  <=  bound {cert.bound_value:.3e}")
 
 print("\ntrailing-block alignment of two nearby full QR factorizations:")
-from pencilpow import full_qr
-
 q = gen_haar(16, rng)
 u_mat = full_qr(q + 1e-4 * gen_ginibre(16, rng)).Q
 w, residual = align_complement(q, u_mat)

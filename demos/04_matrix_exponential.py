@@ -9,8 +9,8 @@ starts to pull ahead of the classic explicit squaring.
 
 import numpy as np
 
-from pencilpow import ExpmConfig, matrix_exponential, select_scaling
-from pencilpow.harness import gen_ginibre, make_ill_conditioned, sample_spectrum
+from pencilpow.expm import ExpmConfig, expm, select_scaling
+from pencilpow.harness.generators import gen_ginibre, make_ill_conditioned, sample_spectrum
 
 n, seed = 48, 31415
 print(f"{'delta':>8} {'kappa(V)':>10} {'s':>3} {'explicit err':>14} {'implicit err':>14}")
@@ -27,7 +27,7 @@ for delta in (1.0, 1e-1, 1e-2, 1e-3, 1e-4):
     s = select_scaling(m)
     errs = {}
     for backend in ("explicit", "irs"):
-        result = matrix_exponential(m, ExpmConfig(squaring_backend=backend))
+        result = expm(m, ExpmConfig(squaring_backend=backend))
         errs[backend] = np.linalg.norm(result - reference, 2) / ref_norm
     sv = np.linalg.svd(v, compute_uv=False)
     print(f"{delta:>8.0e} {sv[0] / sv[-1]:>10.1e} {s:>3} "

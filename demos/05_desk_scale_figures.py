@@ -13,13 +13,11 @@ import os
 
 import numpy as np
 
-from pencilpow.harness import (
+from pencilpow.harness.emit import emit_csv, emit_svg, write_manifest
+from pencilpow.harness.experiments import (
     ExperimentConfig,
-    emit_csv,
-    emit_svg,
     run_condition_evolution,
     run_square_experiment,
-    write_manifest,
 )
 
 OUT = "figure_output"

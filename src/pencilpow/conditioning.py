@@ -13,6 +13,10 @@ Also here: the distance to the nearest pencil singular on the unit circle
 (a grid + golden-section estimate of min_theta sigma_n(-A + e^{i theta} B))
 and Malyshev's integral criterion omega for the absence of unit-circle
 eigenvalues.
+
+Each function but `build_mp_dense` first scales (A, B) jointly by a power
+of two, so nothing it forms overflows, and scales sigma_min, d and tol back
+exactly.
 """
 
 import math
@@ -21,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import ConvergenceError, NearSingularNodeError, ShapeError
-from .precision import _finite, unit_roundoff
+from .errors import ConvergenceError, DomainError, NearSingularNodeError, ShapeError
+from .precision import unit_roundoff
 from .squaring import Pencil
 
 __all__ = [
@@ -51,8 +55,23 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _validated(a, b):
+    """``(A 2^-e, B 2^-e, e)`` by `kernels._pow2_scaled`: entries below sqrt(2) in modulus.
+
+    A scaled pencil comes back unchanged with e = 0, so a function may pass
+    its scaled pencil to another and get the scaled result.
+    """
     pencil = Pencil(a, b)
-    return pencil.a, pencil.b
+    stack, e = kernels._pow2_scaled(np.vstack([pencil.a, pencil.b]))
+    n = pencil.a.shape[0]
+    return stack[:n], stack[n:], e
+
+
+def _scaled_back(x, e, name):
+    """``x 2^e``, or `DomainError` naming the caller ``name`` when that overflows."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        raise DomainError(f"{name}: the result {x!r} * 2^{e} overflows") from None
 
 
 def _roots_of_minus_one(p):
@@ -61,25 +80,11 @@ def _roots_of_minus_one(p):
     return (2.0 * j - 1.0) * np.pi / m
 
 
-def _shifted_sigma_n(a, b, thetas, name):
-    """sigma_n(-A + e^{i theta} B) for each theta, batched.
-
-    Raises `DomainError` naming the caller ``name`` when a shifted pencil
-    or its singular values overflow (entries of A and B near the overflow
-    threshold).
-    """
+def _shifted_sigma_n(a, b, thetas):
+    """sigma_n(-A + e^{i theta} B) for each theta, batched."""
     shifts = np.exp(1j * np.asarray(thetas, dtype=np.float64))
-    with np.errstate(over="ignore", invalid="ignore"):  # checked next
-        pencils = -a[None, :, :] + shifts[:, None, None].astype(a.dtype) * b[None, :, :]
-    _finite(pencils, name, "a shifted pencil")
-    return _finite(kernels._singular_values(pencils)[:, -1], name, "a shifted pencil's sigma_n")
-
-
-def _hermitian_sum(a, b, name):
-    """A A^H + B B^H, or `DomainError` naming the caller ``name`` when it overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):  # checked next
-        h = a @ a.conj().T + b @ b.conj().T
-    return _finite(h, name, "A A^H + B B^H")
+    pencils = -a[None, :, :] + shifts[:, None, None].astype(a.dtype) * b[None, :, :]
+    return kernels._singular_values(pencils)[:, -1]
 
 
 def build_mp_dense(a, b, p):
@@ -87,7 +92,8 @@ def build_mp_dense(a, b, p):
 
     Guarded to m * n <= 4096 since the matrix has (m n)^2 entries.
     """
-    a, b = _validated(a, b)
+    pencil = Pencil(a, b)
+    a, b = pencil.a, pencil.b
     if p < 1:
         raise ShapeError(f"build_mp_dense requires p >= 1, got {p}")
     n = a.shape[0]
@@ -106,11 +112,15 @@ def build_mp_dense(a, b, p):
 
 
 def sigma_min_mp(a, b, p):
-    """sigma_min(M_p(A, B)) via the m-th roots of -1; never forms M_p."""
-    a, b = _validated(a, b)
+    """sigma_min(M_p(A, B)) via the m-th roots of -1; never forms M_p.
+
+    Raises `DomainError` when the value itself overflows.
+    """
+    a, b, e = _validated(a, b)
     if p < 1:
         raise ShapeError(f"sigma_min_mp requires p >= 1, got {p}")
-    return float(np.min(_shifted_sigma_n(a, b, _roots_of_minus_one(p), "sigma_min_mp")))
+    smin = float(np.min(_shifted_sigma_n(a, b, _roots_of_minus_one(p))))
+    return _scaled_back(smin, e, "sigma_min_mp")
 
 
 def kappa_irs(a, b, p):
@@ -120,7 +130,7 @@ def kappa_irs(a, b, p):
     against ``||(A; B)||_2``: an eigenvalue of the pencil sits on an m-th
     root of -1 to working precision, or the pencil is zero.
     """
-    a, b = _validated(a, b)
+    a, b, _ = _validated(a, b)
     return _kappa(kernels.spectral_norm(np.vstack([a, b])), sigma_min_mp(a, b, p), a)
 
 
@@ -155,20 +165,21 @@ def distance_ill_posed(a, b):
     `GRID_POINTS` over [0, 2 pi) followed by golden-section refinement
     around the grid minimizer. The returned value is an upper bound on the
     true distance; its resolution is limited by the grid (the objective is
-    ||B||_2-Lipschitz in theta).
+    ||B||_2-Lipschitz in theta). Raises `DomainError` when the value itself
+    overflows.
     """
-    a, b = _validated(a, b)
+    a, b, e = _validated(a, b)
     thetas = np.linspace(0.0, 2.0 * np.pi, GRID_POINTS, endpoint=False)
-    vals = _shifted_sigma_n(a, b, thetas, "distance_ill_posed")
+    vals = _shifted_sigma_n(a, b, thetas)
     k = int(np.argmin(vals))
     best = float(vals[k])
     h = 2.0 * np.pi / GRID_POINTS
 
     def objective(theta):
-        return float(_shifted_sigma_n(a, b, [theta], "distance_ill_posed")[0])
+        return float(_shifted_sigma_n(a, b, [theta])[0])
 
     refined = _golden_section(objective, thetas[k] - h, thetas[k] + h, _REFINE_ITERS)
-    return min(best, refined)
+    return _scaled_back(min(best, refined), e, "distance_ill_posed")
 
 
 def omega_malyshev(a, b):
@@ -186,9 +197,9 @@ def omega_malyshev(a, b):
     `NearSingularNodeError` naming phi: the pencil has an eigenvalue too
     close to the unit circle for the integral to be trusted.
     """
-    a, b = _validated(a, b)
+    a, b, _ = _validated(a, b)
     n = a.shape[0]
-    h = _hermitian_sum(a, b, "omega_malyshev")
+    h = a @ a.conj().T + b @ b.conj().T
     stack_norm = kernels.spectral_norm(np.vstack([a, b]))
 
     def estimate(num_nodes):
@@ -258,9 +269,11 @@ def condition_chain_check(a, b, p):
     Link failures are reported as data in the returned `ConditionReport`,
     not raised. The declared slack combines roundoff with the grid
     resolution of the distance estimate (d is only estimated from above, so
-    the middle link uses the grid slack; see `distance_ill_posed`).
+    the middle link uses the grid slack; see `distance_ill_posed`). The
+    links are checked on the scaled pencil; sigma, d and tol are then
+    scaled back.
     """
-    a, b = _validated(a, b)
+    a, b, e = _validated(a, b)
     n = a.shape[0]
     stack_sigma_n = kernels.smallest_singular(np.vstack([b, -a]))
     stack_norm = kernels.spectral_norm(np.vstack([a, b]))
@@ -276,16 +289,17 @@ def condition_chain_check(a, b, p):
     roundoff = 10.0 * n * unit_roundoff(a) * stack_norm
     grid_slack = kernels.spectral_norm(b) * np.pi / GRID_POINTS
     tol = roundoff + grid_slack
-    hermitian = _hermitian_sum(a, b, "condition_chain_check")
+    hermitian = a @ a.conj().T + b @ b.conj().T
     tail = math.sqrt(max(kernels.smallest_singular(hermitian), 0.0)) / (14.0 * omega)
+    name = "condition_chain_check"
     return ConditionReport(
-        sigma_min_mp=smin,
+        sigma_min_mp=_scaled_back(smin, e, name),
         kappa_irs=kap,
-        d_ab=d,
+        d_ab=_scaled_back(d, e, name),
         omega_ab=omega,
-        stack_sigma_n=stack_sigma_n,
+        stack_sigma_n=_scaled_back(stack_sigma_n, e, name),
         p=p,
-        tol=tol,
+        tol=_scaled_back(tol, e, name),
         stack_vs_mp_ok=stack_sigma_n >= smin - roundoff,
         mp_vs_d_ok=smin >= d - tol,
         d_vs_omega_ok=d > tail - roundoff,

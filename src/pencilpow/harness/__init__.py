@@ -1,38 +1,7 @@
 """Experiment harness: random problem generators, desk-scale experiment
-runners, CSV/SVG emission, and the command-line interface."""
+runners, CSV/SVG emission, and the command-line interface (`cli`, loaded
+on first import)."""
 
-from .generators import (
-    build_test_pencil,
-    gen_ginibre,
-    gen_haar,
-    make_ill_conditioned,
-    sample_spectrum,
-)
-from .experiments import (
-    ExperimentConfig,
-    TrialRecord,
-    run_bound_report,
-    run_condition_evolution,
-    run_expm_experiment,
-    run_square_experiment,
-)
-from .emit import CSV_HEADER, emit_csv, emit_svg, parse_csv, write_manifest
+from . import emit, experiments, generators
 
-__all__ = [
-    "gen_ginibre",
-    "gen_haar",
-    "make_ill_conditioned",
-    "sample_spectrum",
-    "build_test_pencil",
-    "ExperimentConfig",
-    "TrialRecord",
-    "run_square_experiment",
-    "run_condition_evolution",
-    "run_expm_experiment",
-    "run_bound_report",
-    "CSV_HEADER",
-    "emit_csv",
-    "emit_svg",
-    "parse_csv",
-    "write_manifest",
-]
+__all__ = ["cli", "emit", "experiments", "generators"]

@@ -9,13 +9,13 @@ V D^(2^p) V^-1 that the problems are constructed from.
 
 import math
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice
 
 import numpy as np
 
 from .. import kernels
-from ..conditioning import kappa_irs
+from ..conditioning import _kappa, sigma_min_mp
 from ..errors import DomainError, NumericallySingularError
 from ..expm import _final_pencil
 from ..kernels import _kappa_sigma
@@ -317,8 +317,9 @@ class BoundReport:
 def run_bound_report(config):
     """Evaluate measured errors against the theoretical forward bounds.
 
-    A single oracle-checkable pencil is built (Haar V, diagonal with moduli
-    in [0.9, 1.1], Gaussian A) and both algorithms run for p = 1 .. p_max,
+    A single oracle-checkable pencil is drawn as `run_square_experiment`'s
+    trial 0 with well-conditioned A and moduli in [0.9, 1.1] (Haar V,
+    Gaussian A), and both algorithms run for p = 1 .. p_max,
     stopping before the first p whose oracle is not finite. For each p the
     implicit-path bound (three terms, using the measured sigma_n(A_p),
     ||B_p||_2 and kappa_2(A_p)) and the explicit recursion bound are
@@ -333,21 +334,18 @@ def run_bound_report(config):
     """
     n = config.n
     u = unit_roundoff(config.precision)
-    rng = rng_from_seed(config.seed)
-    a = gen_ginibre(n, rng)
-    v = gen_haar(n, rng)
     # moduli straddling the unit circle keep the 2^j product terms of both
     # bounds growing, which is the regime the report is meant to exhibit
-    d = sample_spectrum("annulus", n, rng, r_lo=0.9, r_hi=1.1)
-    pencil, oracle = build_test_pencil(a, v, d)
-    dtype = dtype_for(config.precision)
-    a0 = pencil.a.astype(dtype)
-    b0 = pencil.b.astype(dtype)
+    a0, b0, oracle, _ = _draw_square_pencil(
+        replace(config, experiment="bound_report", conditioning="well", spectrum="annulus",
+                annulus_r_lo=0.9, annulus_r_hi=1.1),
+        0,
+    )
 
     stack_norm = kernels.spectral_norm(np.vstack([a0, b0]))
     kappa_a, sigma_n_a = _kappa_sigma(a0)
     norm_b = kernels.spectral_norm(b0)
-    product_base = kernels.spectral_norm((v * d[None, :]) @ v.conj().T)
+    product_base = kernels.spectral_norm(oracle(0))
     tau = n * n * u
     c_log = math.log(n)
     delta0 = tau * stack_norm * (sigma_n_a + norm_b) / (sigma_n_a - tau * stack_norm)
@@ -365,7 +363,7 @@ def run_bound_report(config):
             product_es *= 2.0 * (1.0 + tau) * product_base ** k
         kappa_ap, sigma_ap = _kappa_sigma(run.a_p)
         norm_bp = kernels.spectral_norm(run.b_p)
-        kap_irs = kappa_irs(a0, b0, p)
+        kap_irs = _kappa(stack_norm, sigma_min_mp(a0, b0, p), a0)
         gamma = 1.0 + 4.0 * math.sqrt(2.0) * (8.0 * math.log(n + 1) + 28.0) * kap_irs
         eps = 14.0 * tau * gamma ** (p - 1)
         t1 = tau * (1.0 + (1.0 + tau) * kappa_ap ** c_log) * (norm_bp / sigma_ap)

@@ -184,33 +184,55 @@ def test_omega_tail_bound():
     assert dist > tail
 
 
-# --- entries near overflow --------------------------------------------------------
+# --- entries near overflow or underflow ---------------------------------------------
 
 @pytest.mark.parametrize("diagonal", [(1e308, 1e308), (1e308, 1.0)])
-def test_shifted_pencil_overflow_raises_domain_error(diagonal):
-    # -A + e^{i theta} B, or its 2-norm, exceeds the float range
+def test_shifted_pencil_near_overflow_is_scaled(diagonal):
+    # -A + e^{i theta} B exceeds the float range unscaled; the pencil is
+    # scaled by a power of two, so sigma comes back as 2 sin(pi/8) d_min
     a = np.diag(diagonal).astype(complex)
-    calls = [
-        ("sigma_min_mp", lambda: conditioning.sigma_min_mp(a, a, 2)),
-        ("sigma_min_mp", lambda: conditioning.kappa_irs(a, a, 2)),
-        ("distance_ill_posed", lambda: conditioning.distance_ill_posed(a, a)),
-        ("omega_malyshev", lambda: conditioning.omega_malyshev(a, a)),
-        ("sigma_min_mp", lambda: conditioning.condition_chain_check(a, a, 2)),
-    ]
-    for name, call in calls:
-        with pytest.raises(DomainError, match=name):
-            call()
+    sigma = 2.0 * math.sin(math.pi / 8.0) * min(diagonal)
+    # scale invariant; past 1 / (n u) for (1e308, 1), where kappa_irs returns inf
+    kappa = math.sqrt(2.0) * max(diagonal) / sigma
+    assert conditioning.sigma_min_mp(a, a, 2) == pytest.approx(sigma, rel=1e-12)
+    assert conditioning.kappa_irs(a, a, 2) == pytest.approx(kappa, rel=1e-12)
+    assert conditioning.distance_ill_posed(a, a) == 0.0  # singular at theta = 0
+    with pytest.raises(NearSingularNodeError):
+        conditioning.omega_malyshev(a, a)
+    report = conditioning.condition_chain_check(a, a, 2)
+    assert report.sigma_min_mp == pytest.approx(sigma, rel=1e-12)
+    assert report.stack_sigma_n == pytest.approx(math.sqrt(2.0) * min(diagonal), rel=1e-12)
+    assert report.kappa_is_infinite == math.isinf(kappa)
+    assert math.isinf(report.omega_ab) and report.chain_ok
 
 
-def test_hermitian_sum_overflow_raises_domain_error():
-    # A A^H + B B^H = 1e401 I overflows although the shifted pencils do not
-    a = 1e200 * np.eye(2, dtype=complex)
-    b = 3e200 * np.eye(2, dtype=complex)
-    assert conditioning.distance_ill_posed(a, b) == pytest.approx(2e200)
-    with pytest.raises(DomainError, match="omega_malyshev: A A\\^H"):
-        conditioning.omega_malyshev(a, b)
-    with pytest.raises(DomainError, match="omega_malyshev"):
-        conditioning.condition_chain_check(a, b, 2)
+@pytest.mark.parametrize("t", [1e200, 1e-200])
+def test_hermitian_sum_out_of_range_is_scaled(t):
+    # A A^H + B B^H = 10 t^2 I overflows or underflows to zero unscaled; omega is
+    # scale invariant, so it is omega(I, 3 I) = (1/2) int 10 / |3 - e^{i phi}|^2 = 5 pi / 4
+    a = t * np.eye(2, dtype=complex)
+    b = 3.0 * a
+    sigma = abs(3.0 * np.exp(0.25j * np.pi) - 1.0)  # sigma_min(M_2(I, 3 I))
+    assert conditioning.distance_ill_posed(a, b) == pytest.approx(2.0 * t)
+    assert conditioning.omega_malyshev(a, b) == pytest.approx(1.25 * math.pi, rel=1e-12)
+    report = conditioning.condition_chain_check(a, b, 2)
+    assert report.omega_ab == pytest.approx(1.25 * math.pi, rel=1e-12)
+    assert report.d_ab == pytest.approx(2.0 * t)
+    assert report.sigma_min_mp == pytest.approx(sigma * t)
+    assert report.kappa_irs == pytest.approx(math.sqrt(10.0) / sigma)
+    assert report.chain_ok
+
+
+def test_overflowing_result_raises_domain_error():
+    # sigma_min(M_1) of (1.5e308 I, -1.5e308 I) is 1.5 sqrt(2) e308, past the
+    # float range; kappa_irs and d stay representable
+    a = 1.5e308 * np.eye(2, dtype=complex)
+    with pytest.raises(DomainError, match="sigma_min_mp: the result .* overflows"):
+        conditioning.sigma_min_mp(a, -a, 1)
+    with pytest.raises(DomainError, match="condition_chain_check: the result .* overflows"):
+        conditioning.condition_chain_check(a, -a, 1)
+    assert conditioning.kappa_irs(a, -a, 1) == pytest.approx(1.0)
+    assert math.isfinite(conditioning.distance_ill_posed(a, -a))
 
 
 # --- condition_chain_check ------------------------------------------------------------

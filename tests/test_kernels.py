@@ -433,8 +433,8 @@ def test_library_runtime_loads_no_scipy():
         "import sys\n"
         "import numpy as np\n"
         "import pencilpow\n"
-        "run = pencilpow.irs(np.eye(4), 2 * np.eye(4), 3)\n"
-        "pencilpow.implicit_to_explicit(run)\n"
+        "run = pencilpow.squaring.irs(np.eye(4), 2 * np.eye(4), 3)\n"
+        "pencilpow.squaring.implicit_to_explicit(run)\n"
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "assert not loaded, loaded\n"
     )
