@@ -4,8 +4,10 @@
     pencilpow bounds --n 16 --p-max 4 --seed 0 --out results/
 
 ``run`` writes <out>/<experiment>.csv, <out>/<experiment>.svg and
-<out>/manifest.txt. Flags may also come from a flat ``key = value`` config
-file (--config); explicit flags override file values.
+<out>/manifest.txt. Its flags may also come from a flat ``key = value``
+config file (--config); explicit flags override file values. ``bounds``
+takes only the five settings the bound report reads, and writes
+<out>/bound_report.csv and <out>/manifest.txt.
 """
 
 import argparse
@@ -54,15 +56,9 @@ def _read_config_file(path):
     return out
 
 
-def _add_run_flags(parser):
-    parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--experiment", choices=EXPERIMENTS)
+def _add_shared_flags(parser):
     parser.add_argument("--n", type=int)
-    parser.add_argument("--trials", type=int)
     parser.add_argument("--p-max", dest="p_max", type=int)
-    parser.add_argument("--conditioning", choices=("well", "ill"))
-    parser.add_argument("--spectrum", choices=("circle", "disk", "annulus"))
-    parser.add_argument("--delta", type=float)
     parser.add_argument("--precision", choices=sorted(_PRECISION_ALIASES))
     parser.add_argument("--seed", type=int)
     parser.add_argument("--out", dest="output_dir")
@@ -70,7 +66,7 @@ def _add_run_flags(parser):
 
 def _build_config(args):
     kwargs = {}
-    if args.config:
+    if getattr(args, "config", None):
         kwargs.update(_read_config_file(args.config))
     for key in _CONFIG_TYPES:
         val = getattr(args, key, None)
@@ -85,8 +81,6 @@ def _cmd_run(args):
     config = _build_config(args)
     out = config.output_dir
     os.makedirs(out, exist_ok=True)
-    if config.experiment == "bound_report":
-        return _emit_bound_report(config, out)
     records = run_experiment(config)
     csv_path = os.path.join(out, f"{config.experiment}.csv")
     svg_path = os.path.join(out, f"{config.experiment}.svg")
@@ -97,7 +91,10 @@ def _cmd_run(args):
     return 0
 
 
-def _emit_bound_report(config, out):
+def _cmd_bounds(args):
+    config = _build_config(args)
+    out = config.output_dir
+    os.makedirs(out, exist_ok=True)
     report = run_bound_report(config)
     path = os.path.join(out, "bound_report.csv")
     with open(path, "w") as fh:
@@ -112,13 +109,8 @@ def _emit_bound_report(config, out):
             ]) + "\n")
     write_manifest(
         os.path.join(out, "manifest.txt"),
-        config,
-        extra={
-            "flops_p": report.flops_p,
-            "flops_irs": report.flops_irs,
-            "flops_es": report.flops_es,
-            "flops_match": report.flops_match,
-        },
+        report.config,
+        extra={"kernel_calls": report.kernel_calls},
     )
     _print_bound_table(report)
     print(f"wrote {path}")
@@ -132,25 +124,7 @@ def _print_bound_table(report):
             f"{row.p:>3} {row.err_irs:>14.3e} {row.bound_irs:>12.3e} "
             f"{row.err_es:>14.3e} {row.bound_es:>12.3e}"
         )
-    ok = "match" if report.flops_match else "MISMATCH"
-    print(
-        f"kernel calls at p={report.flops_p} ({ok}): "
-        f"irs {report.flops_irs} expected {report.expected_flops_irs}; "
-        f"es {report.flops_es} expected {report.expected_flops_es}"
-    )
-
-
-def _cmd_bounds(args):
-    if args.experiment is None:
-        args.experiment = "bound_report"
-    if args.n is None:
-        args.n = 16
-    if args.p_max is None:
-        args.p_max = 4
-    config = _build_config(args)
-    out = config.output_dir
-    os.makedirs(out, exist_ok=True)
-    return _emit_bound_report(config, out)
+    print(f"kernel_calls = {report.kernel_calls}")
 
 
 def main(argv=None):
@@ -161,12 +135,18 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run an experiment and emit CSV/SVG")
-    _add_run_flags(run_p)
+    _add_shared_flags(run_p)
+    run_p.add_argument("--config", help="flat key = value config file")
+    run_p.add_argument("--experiment", choices=[e for e in EXPERIMENTS if e != "bound_report"])
+    run_p.add_argument("--trials", type=int)
+    run_p.add_argument("--conditioning", choices=("well", "ill"))
+    run_p.add_argument("--spectrum", choices=("circle", "disk", "annulus"))
+    run_p.add_argument("--delta", type=float)
     run_p.set_defaults(func=_cmd_run)
 
     bounds_p = sub.add_parser("bounds", help="evaluate forward-error bounds")
-    _add_run_flags(bounds_p)
-    bounds_p.set_defaults(func=_cmd_bounds)
+    _add_shared_flags(bounds_p)
+    bounds_p.set_defaults(func=_cmd_bounds, experiment="bound_report", n=16, p_max=4)
 
     args = parser.parse_args(argv)
     return args.func(args)

@@ -8,7 +8,6 @@ V D^(2^p) V^-1 that the problems are constructed from.
 """
 
 import math
-from contextlib import suppress
 from dataclasses import dataclass, replace
 from itertools import islice
 
@@ -134,14 +133,17 @@ def _measured_runs(a0, b0, oracle, p_max):
 
     The runners' one measured step loop: `irs_iter` and `explicit_iter`
     advance together, and both are measured against ``oracle(p)`` by
-    `_rel_err`. Stops before the first p whose oracle is not finite.
+    `_rel_err`. Stops before the first p whose oracle is not finite, so
+    neither path takes that step.
     """
+    runs = irs_iter(a0, b0)
     es_powers = explicit_iter(a0, b0)
-    for run in islice(irs_iter(a0, b0), p_max):
+    for p in range(1, p_max + 1):
         with np.errstate(over="ignore", invalid="ignore"):  # checked next
-            target = oracle(run.p)
+            target = oracle(p)
         if not np.isfinite(target).all():
             return
+        run = next(runs)
         err_irs = _rel_err(lambda: implicit_to_explicit(run), target, 1.0)
         err_es = _rel_err(lambda: next(es_powers, None), target, 1.0)
         yield run, err_irs, err_es
@@ -297,21 +299,11 @@ class BoundReportRow:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Bound/measured table plus instrumented kernel call counts at ``flops_p``."""
+    """Bound/measured rows, the config the pencil was drawn from, and the loop's kernel calls."""
 
     rows: tuple
-    flops_p: int
-    flops_irs: kernels.KernelCounts
-    flops_es: kernels.KernelCounts
-    expected_flops_irs: kernels.KernelCounts
-    expected_flops_es: kernels.KernelCounts
-
-    @property
-    def flops_match(self):
-        return (
-            self.flops_irs == self.expected_flops_irs
-            and self.flops_es == self.expected_flops_es
-        )
+    config: ExperimentConfig
+    kernel_calls: kernels.KernelCounts
 
 
 def run_bound_report(config):
@@ -325,22 +317,19 @@ def run_bound_report(config):
     ||B_p||_2 and kappa_2(A_p)) and the explicit recursion bound are
     evaluated with mu(n) = n^2 and a unit constant on the kappa^log(n)
     inversion factor; an error is NaN where its conversion raised.
-    Instrumented kernel counters check the arithmetic-cost identities
-
-        explicit: 1 INV + (p+1) MM      implicit: 1 INV + p QR + (2p+1) MM
-
-    at the largest p whose row measured both errors, so both paths ran to
-    the end there (at p_max when no row did, and a raise is a mismatch).
+    ``config`` is the configuration the pencil was drawn from, and
+    ``kernel_calls`` is the `kernels.count_kernels` tally of the measured
+    loop (both paths' steps and conversions), so the report records the run
+    it made. The cost identities those counts follow are tested by
+    acceptance criterion 12.
     """
     n = config.n
     u = unit_roundoff(config.precision)
     # moduli straddling the unit circle keep the 2^j product terms of both
     # bounds growing, which is the regime the report is meant to exhibit
-    a0, b0, oracle, _ = _draw_square_pencil(
-        replace(config, experiment="bound_report", conditioning="well", spectrum="annulus",
-                annulus_r_lo=0.9, annulus_r_hi=1.1),
-        0,
-    )
+    drawn = replace(config, experiment="bound_report", trials=1, conditioning="well",
+                    spectrum="annulus", annulus_r_lo=0.9, annulus_r_hi=1.1)
+    a0, b0, oracle, _ = _draw_square_pencil(drawn, 0)
 
     stack_norm = kernels.spectral_norm(np.vstack([a0, b0]))
     kappa_a, sigma_n_a = _kappa_sigma(a0)
@@ -354,54 +343,39 @@ def run_bound_report(config):
     # prod_{j<=p} (r^k + (r + delta0)^k) and prod_{j<=p} 2 (1 + tau) r^k, k = 2^(j-1);
     # an infinite one stays so: a further r ** k can raise OverflowError
     product_irs = product_es = 1.0
-    for run, err_irs, err_es in _measured_runs(a0, b0, oracle, config.p_max):
-        p = run.p
-        k = 2 ** (p - 1)
-        if not math.isinf(product_irs):
-            product_irs *= product_base ** k + (product_base + delta0) ** k
-        if not math.isinf(product_es):
-            product_es *= 2.0 * (1.0 + tau) * product_base ** k
-        kappa_ap, sigma_ap = _kappa_sigma(run.a_p)
-        norm_bp = kernels.spectral_norm(run.b_p)
-        kap_irs = _kappa(stack_norm, sigma_min_mp(a0, b0, p), a0)
-        gamma = 1.0 + 4.0 * math.sqrt(2.0) * (8.0 * math.log(n + 1) + 28.0) * kap_irs
-        eps = 14.0 * tau * gamma ** (p - 1)
-        t1 = tau * (1.0 + (1.0 + tau) * kappa_ap ** c_log) * (norm_bp / sigma_ap)
-        denom = sigma_ap - eps * stack_norm
-        t2 = (
-            eps * stack_norm * (sigma_ap + norm_bp) / (sigma_ap * denom)
-            if denom > 0
-            else float("inf")
-        )
-        t3 = delta0 * product_irs
-        bound_irs = t1 + t2 + t3
-        bound_es = (
-            product_es
-            * tau
-            * (1.0 + (1.0 + tau) * kappa_a ** c_log)
-            * (norm_b / sigma_n_a)
-        )
-        rows.append(
-            BoundReportRow(p=p, err_irs=err_irs, bound_irs=bound_irs,
-                           err_es=err_es, bound_es=bound_es)
-        )
-
-    flops_p = max(
-        (row.p for row in rows if not (math.isnan(row.err_irs) or math.isnan(row.err_es))),
-        default=config.p_max,
-    )
-    with kernels.count_kernels() as flops_irs, suppress(NumericallySingularError, DomainError):
-        implicit_to_explicit(irs(a0, b0, flops_p))
-    with kernels.count_kernels() as flops_es, suppress(NumericallySingularError, DomainError):
-        explicit_squaring(a0, b0, flops_p)
-    return BoundReport(
-        rows=tuple(rows),
-        flops_p=flops_p,
-        flops_irs=flops_irs,
-        flops_es=flops_es,
-        expected_flops_irs=kernels.KernelCounts(matmul=2 * flops_p + 1, qr=flops_p, inv=1),
-        expected_flops_es=kernels.KernelCounts(matmul=flops_p + 1, qr=0, inv=1),
-    )
+    with kernels.count_kernels() as kernel_calls:
+        for run, err_irs, err_es in _measured_runs(a0, b0, oracle, config.p_max):
+            p = run.p
+            k = 2 ** (p - 1)
+            if not math.isinf(product_irs):
+                product_irs *= product_base ** k + (product_base + delta0) ** k
+            if not math.isinf(product_es):
+                product_es *= 2.0 * (1.0 + tau) * product_base ** k
+            kappa_ap, sigma_ap = _kappa_sigma(run.a_p)
+            norm_bp = kernels.spectral_norm(run.b_p)
+            kap_irs = _kappa(stack_norm, sigma_min_mp(a0, b0, p), a0)
+            gamma = 1.0 + 4.0 * math.sqrt(2.0) * (8.0 * math.log(n + 1) + 28.0) * kap_irs
+            eps = 14.0 * tau * gamma ** (p - 1)
+            t1 = tau * (1.0 + (1.0 + tau) * kappa_ap ** c_log) * (norm_bp / sigma_ap)
+            denom = sigma_ap - eps * stack_norm
+            t2 = (
+                eps * stack_norm * (sigma_ap + norm_bp) / (sigma_ap * denom)
+                if denom > 0
+                else float("inf")
+            )
+            t3 = delta0 * product_irs
+            bound_irs = t1 + t2 + t3
+            bound_es = (
+                product_es
+                * tau
+                * (1.0 + (1.0 + tau) * kappa_a ** c_log)
+                * (norm_b / sigma_n_a)
+            )
+            rows.append(
+                BoundReportRow(p=p, err_irs=err_irs, bound_irs=bound_irs,
+                               err_es=err_es, bound_es=bound_es)
+            )
+    return BoundReport(rows=tuple(rows), config=drawn, kernel_calls=kernel_calls)
 
 
 def run_experiment(config):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import DomainError, RankDeficientStackWarning, ShapeError
+from .errors import RankDeficientStackWarning, ShapeError
 from .precision import _finite, same_precision, square_matrix
 
 __all__ = [
@@ -156,13 +156,11 @@ def irs_iter(a, b):
     unbounded; bound it with ``itertools.islice``. The pencil is validated
     when the first run is requested.
     """
-    pencil = Pencil(a, b)
-    a_j, b_j = pencil.a, pencil.b
     trace = ()
     for j in itertools.count():
-        a_j, b_j, entry = irs_step(a_j, b_j, step_index=j)
+        a, b, entry = irs_step(a, b, step_index=j)
         trace += (entry,)
-        yield IRSRun(a_p=a_j, b_p=b_j, trace=trace)
+        yield IRSRun(a_p=a, b_p=b, trace=trace)
 
 
 def irs(a, b, p):
@@ -190,7 +188,7 @@ def explicit_iter(a, b):
     """
     d = _explicit_d0(a, b)
     for j in itertools.count(1):
-        d = _product(d, d, f"explicit_squaring: D_0^(2^{j})")
+        d = _product(d, d, "explicit_squaring", f"D_0^(2^{j})")
         yield d
 
 
@@ -209,16 +207,13 @@ def explicit_squaring(a, b, p):
 
 def _explicit_d0(a, b):
     pencil = Pencil(a, b)
-    return _product(kernels.invert(pencil.a), pencil.b, "explicit_squaring: D_0")
+    return _product(kernels.invert(pencil.a), pencil.b, "explicit_squaring", "D_0")
 
 
-def _product(x, y, name):
-    """``x @ y``, raising `DomainError` when it overflows to a non-finite matrix."""
+def _product(x, y, name, what):
+    """``x @ y``, or `_finite`'s `DomainError` when it overflows to a non-finite matrix."""
     with np.errstate(over="ignore", invalid="ignore"):  # checked next
-        out = kernels.matmul(x, y)
-    if not np.isfinite(out).all():
-        raise DomainError(f"{name} overflowed")
-    return out
+        return _finite(kernels.matmul(x, y), name, what)
 
 
 def implicit_to_explicit(run):
@@ -229,7 +224,7 @@ def implicit_to_explicit(run):
     original pencil inside the unit disk has collapsed sigma_n(A_p). Raises
     `DomainError` when the product overflows, as `explicit_squaring` does.
     """
-    return _product(kernels.invert(run.a_p), run.b_p, "implicit_to_explicit: a_p^-1 b_p")
+    return _product(kernels.invert(run.a_p), run.b_p, "implicit_to_explicit", "a_p^-1 b_p")
 
 
 def spectral_projector(run):
@@ -243,6 +238,5 @@ def spectral_projector(run):
     singular, and `DomainError` when that sum or the product overflows.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # checked next
-        total = run.a_p + run.b_p
-    _finite(total, "spectral_projector", "a_p + b_p")
-    return _product(kernels.invert(total), run.a_p, "spectral_projector: (a_p + b_p)^-1 a_p")
+        total = _finite(run.a_p + run.b_p, "spectral_projector", "a_p + b_p")
+    return _product(kernels.invert(total), run.a_p, "spectral_projector", "(a_p + b_p)^-1 a_p")

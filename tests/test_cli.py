@@ -73,17 +73,21 @@ def test_bounds_subcommand(tmp_path):
     assert rc == 0
     text = (out / "bound_report.csv").read_text()
     assert text.splitlines()[0] == "p,err_irs,bound_irs,ratio_irs,err_es,bound_es,ratio_es"
-    assert "flops_match = True" in (out / "manifest.txt").read_text()
+    # the manifest records the pencil actually drawn and the measured loop's kernel calls
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    for line in ("spectrum = annulus", "annulus_r_lo = 0.9", "conditioning = well",
+                 "trials = 1", "kernel_calls = KernelCounts(matmul=9, qr=2, inv=3)"):
+        assert line in manifest
 
 
 def test_run_bound_report_experiment(tmp_path):
-    out = tmp_path / "br"
-    rc = cli.main([
-        "run", "--experiment", "bound_report", "--n", "8", "--p-max", "2",
-        "--seed", "2", "--out", str(out),
-    ])
-    assert rc == 0
-    assert (out / "bound_report.csv").exists()
+    # the bound report has one command, and it takes only the settings it reads
+    for argv in (["run", "--experiment", "bound_report"], ["bounds", "--trials", "3"],
+                 ["bounds", "--config", "x"]):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv + ["--out", str(tmp_path / "br")])
+        assert info.value.code == 2
+    assert not (tmp_path / "br").exists()
 
 
 def test_bounds_singular_a_p_writes_empty_fields(tmp_path):
@@ -98,6 +102,7 @@ def test_bounds_singular_a_p_writes_empty_fields(tmp_path):
     assert [int(row[0]) for row in rows] == list(range(1, 11))
     assert rows[-1][1] == "" and rows[-1][3] == ""
     assert all(row[4] for row in rows)  # the explicit path still has every error
-    # the kernel calls are counted at p = 9, the last p both paths completed
-    manifest = (out / "manifest.txt").read_text()
-    assert "flops_p = 9" in manifest and "flops_match = True" in manifest
+    # ten steps and ten conversions of which the last raised before its
+    # product, plus D_0 and ten explicit squarings
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    assert "kernel_calls = KernelCounts(matmul=40, qr=10, inv=11)" in manifest

@@ -188,11 +188,17 @@ def test_bound_report_ratio_grows_with_p():
 
 
 def test_bound_report_flop_identities():
+    # the measured loop's calls: p steps (2 MM + 1 QR each) and p conversions
+    # (1 INV + 1 MM each), plus D_0 (1 INV + 1 MM) and p explicit squarings
     config = ex.ExperimentConfig(experiment="bound_report", n=6, trials=1, p_max=3, seed=1)
     report = ex.run_bound_report(config)
-    assert report.flops_match
-    assert report.flops_es == kernels.KernelCounts(matmul=4, qr=0, inv=1)
-    assert report.flops_irs == kernels.KernelCounts(matmul=7, qr=3, inv=1)
+    assert len(report.rows) == 3
+    assert report.kernel_calls == kernels.KernelCounts(matmul=13, qr=3, inv=4)
+    # the oracle overflows at p = 13: that step is never taken
+    config = ex.ExperimentConfig(experiment="bound_report", n=16, p_max=14, seed=5)
+    report = ex.run_bound_report(config)
+    assert [row.p for row in report.rows] == list(range(1, 13))
+    assert report.kernel_calls.qr == 12
 
 
 def test_run_experiment_dispatch():
