@@ -16,12 +16,13 @@ import os
 import sys
 from dataclasses import fields
 
+from ..errors import PencilPowError
 from .emit import emit_csv, emit_svg, write_manifest
 from .experiments import (
     EXPERIMENTS,
     ExperimentConfig,
+    _runner,
     run_bound_report,
-    run_experiment,
 )
 
 _PRECISION_ALIASES = {
@@ -77,11 +78,24 @@ def _build_config(args):
     return ExperimentConfig(**kwargs)
 
 
+def _checked(build, arg):
+    """``build(arg)``; a `PencilPowError` exits with code 2 and one line, as argparse does.
+
+    Commands check their config this way before making the output directory.
+    """
+    try:
+        return build(arg)
+    except PencilPowError as exc:
+        print(f"pencilpow: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
 def _cmd_run(args):
-    config = _build_config(args)
+    config = _checked(_build_config, args)
+    runner = _checked(_runner, config)
     out = config.output_dir
     os.makedirs(out, exist_ok=True)
-    records = run_experiment(config)
+    records = runner(config)
     csv_path = os.path.join(out, f"{config.experiment}.csv")
     svg_path = os.path.join(out, f"{config.experiment}.svg")
     emit_csv(records, csv_path, config.experiment)
@@ -92,7 +106,7 @@ def _cmd_run(args):
 
 
 def _cmd_bounds(args):
-    config = _build_config(args)
+    config = _checked(_build_config, args)
     out = config.output_dir
     os.makedirs(out, exist_ok=True)
     report = run_bound_report(config)

@@ -8,7 +8,7 @@ the records were produced.
 """
 
 import math
-from xml.sax.saxutils import escape
+from html import escape  # with quote=False, xml.sax.saxutils.escape without its imports
 
 import numpy as np
 
@@ -159,7 +159,7 @@ def emit_svg(records, path, title=""):
         f'viewBox="0 0 {_W} {_H}">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
         f'<text x="{_W / 2:.0f}" y="20" text-anchor="middle" font-size="14">'
-        f"{escape(title)}</text>",
+        f"{escape(title, quote=False)}</text>",
     ]
     # axes and ticks
     parts.append(

@@ -384,10 +384,15 @@ def run_experiment(config):
     ``bound_report`` has its own tabular result type and is not dispatched
     here; use `run_bound_report`.
     """
+    return _runner(config)(config)
+
+
+def _runner(config):
+    """The runner `run_experiment` dispatches ``config`` to, or `DomainError`."""
     if config.experiment in ("toy_identity", "general_square"):
-        return run_square_experiment(config)
+        return run_square_experiment
     if config.experiment == "condition_evolution":
-        return run_condition_evolution(config)
+        return run_condition_evolution
     if config.experiment == "expm_compare":
-        return run_expm_experiment(config)
+        return run_expm_experiment
     raise DomainError(f"run_experiment cannot dispatch {config.experiment!r}")

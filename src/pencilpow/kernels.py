@@ -198,10 +198,12 @@ def full_qr(a):
     # numpy factors complex64 input in complex128 as well; keeping those
     # reflectors unrounded rounds Q once, as LAPACK's complete Q is rounded
     h, tau = np.linalg.qr(a.astype(np.complex128, copy=False), mode="raw")
-    factored = h.T  # ?geqrf's output: R on and above the diagonal, V below it
-    r = np.triu(factored).astype(a.dtype, copy=False)
+    v = h.T  # ?geqrf's output: R on and above the diagonal, V below it
+    r = np.triu(v).astype(a.dtype, copy=False)
     phases = _positive_diagonal(r)
-    v = np.tril(factored, -1) + np.eye(m, n, dtype=factored.dtype)
+    # V is built in place: rows n: lie wholly below the diagonal already
+    v[:n] = np.tril(v[:n], -1)
+    np.fill_diagonal(v, 1)
     return FullQR(r, householder=(v, tau, phases))
 
 
@@ -358,6 +360,23 @@ def spectral_norm(a):
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceError(f"eigenvalues did not converge: {exc}") from exc
     return math.ldexp(math.sqrt(max(lam, 0.0)), e)
+
+
+def _unitarity_defect(q, tol):
+    """``||Q^H Q - I||_2`` of a square ``q``, or a certified bound on it at most ``tol``.
+
+    The screen: D = Q^H Q - I is formed once, and since ``||D||_2 <=
+    ||D||_F``, ``||D||_F <= tol`` certifies ``||D||_2 <= tol``; that
+    Frobenius norm is returned without `spectral_norm`'s Gram matrix and
+    eigenvalues. Any other ``q`` gets the exact ``spectral_norm(D)``, so a
+    ``defect <= tol`` verdict is the exact check's on every input away from
+    a rounding of ``tol`` (the pattern of `_rank_verdict`).
+    """
+    d = q.conj().T @ q - np.eye(q.shape[0], dtype=q.dtype)
+    frob = float(np.linalg.norm(d))
+    if frob <= tol:
+        return frob
+    return spectral_norm(d)
 
 
 def smallest_singular(a):

@@ -114,9 +114,9 @@ def triangular_norm_check(tri):
 
 def _check_unitary(q, name):
     q = square_matrix(q, name)
-    n = q.shape[0]
-    defect = kernels.spectral_norm(q.conj().T @ q - np.eye(n, dtype=q.dtype))
-    if defect > 100.0 * n * unit_roundoff(q):
+    tol = 100.0 * q.shape[0] * unit_roundoff(q)
+    defect = kernels._unitarity_defect(q, tol)
+    if defect > tol:
         raise NonUnitaryError(f"{name} is not unitary to tolerance", defect)
     return q
 

@@ -139,7 +139,9 @@ def irs_step(a_j, b_j, step_index=0):
     pencil = Pencil(a_j, b_j)
     a_j, b_j = pencil.a, pencil.b
     n = a_j.shape[0]
-    stack = np.vstack([b_j, -a_j])
+    stack = np.empty((2 * n, n), dtype=a_j.dtype)
+    stack[:n] = b_j
+    np.negative(a_j, out=stack[n:])
     qr = kernels.full_qr(stack)
     trace = _stack_diagnostics(stack, qr.R[:n], step_index)
     q_c = qr.complement

@@ -106,3 +106,20 @@ def test_bounds_singular_a_p_writes_empty_fields(tmp_path):
     # product, plus D_0 and ten explicit squarings
     manifest = (out / "manifest.txt").read_text().splitlines()
     assert "kernel_calls = KernelCounts(matmul=40, qr=10, inv=11)" in manifest
+
+
+def test_invalid_config_exits_2_before_creating_the_output_dir(tmp_path, capsys):
+    cfg = tmp_path / "report.cfg"
+    cfg.write_text("experiment = bound_report\n")
+    cases = [
+        (["run", "--n", "1"], "config requires trials >= 1, n >= 2, p_max >= 1"),
+        (["bounds", "--n", "1"], "config requires trials >= 1, n >= 2, p_max >= 1"),
+        (["run", "--config", str(cfg)], "run_experiment cannot dispatch 'bound_report'"),
+    ]
+    for argv, message in cases:
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv + ["--out", str(out)])
+        assert info.value.code == 2
+        assert capsys.readouterr().err == f"pencilpow: error: {message}\n"
+        assert not out.exists()

@@ -84,6 +84,16 @@ def test_svg_well_formed_with_one_polyline_per_algorithm(tmp_path):
     assert classes == {"mean-irs", "mean-es"}
 
 
+def test_svg_title_escaped_as_xml_sax_escapes_it(tmp_path):
+    from xml.sax.saxutils import escape
+
+    title = "a&b<c>\"d'"
+    path = tmp_path / "title.svg"
+    emit_svg(sample_records(), path, title=title)
+    assert f'font-size="14">{escape(title)}</text>' in path.read_text()
+    assert ET.parse(path).getroot().find("{http://www.w3.org/2000/svg}text").text == title
+
+
 def test_svg_kappa_fallback(tmp_path):
     records = [
         TrialRecord(trial=0, p=p, kappa_a_input=50.0, kappa_ap=50.0 / p, sigma_n_ap=0.1)

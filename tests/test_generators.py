@@ -112,6 +112,23 @@ def test_pencil_identity_diagonal():
         assert np.allclose(oracle(p), np.eye(6), atol=1e-13)
 
 
+def test_pencil_unitary_v_takes_no_eigenvalue_solve(monkeypatch):
+    # the Frobenius screen certifies a unitary V; eigvalsh runs only on a V it rejects
+    def forbidden(*args):
+        raise AssertionError("eigvalsh called")
+
+    a = gen.gen_ginibre(16, 3)
+    v = gen.gen_haar(16, 4)
+    d = gen.sample_spectrum("circle", 16, 5)
+    d2 = d * d
+    expected = (v * (d2 * d2)[None, :]) @ v.conj().T
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    _, oracle = gen.build_test_pencil(a, v, d)
+    assert np.array_equal(oracle(2), expected)  # V^-1 is V^H
+    with pytest.raises(AssertionError, match="eigvalsh called"):
+        gen.build_test_pencil(a, gen.gen_ginibre(16, 6), d)
+
+
 def test_pencil_identity_eigenvectors():
     d = np.array([0.5, 2.0, 1.0 + 1.0j])
     pencil, oracle = gen.build_test_pencil(np.eye(3), np.eye(3), d)

@@ -289,6 +289,25 @@ def test_spectral_norm_keeps_the_input_precision(monkeypatch):
     assert seen == [np.dtype(np.complex64), np.dtype(np.complex128)]
 
 
+def test_unitarity_defect_screen_gives_the_exact_verdict():
+    def exact(q):
+        return kernels.spectral_norm(q.conj().T @ q - np.eye(q.shape[0], dtype=q.dtype))
+
+    haar = kernels.full_qr(ginibre(16, rng_for(14))).Q
+    noise = ginibre(16, rng_for(15))
+    cases = [kernels.full_qr(ginibre(n, rng_for(n))).Q.astype(dtype)
+             for n in (1, 16, 256) for dtype in (np.complex64, np.complex128)]
+    cases += [2 * np.eye(4, dtype=complex), ginibre(8, rng_for(16))]
+    cases += [haar + eps * noise for eps in (1e-12, 1e-10, 1e-8)]
+    for q in cases:
+        two_norm = exact(q)
+        for tol in (1e-10, 100.0 * q.shape[0] * unit_roundoff(q)):
+            defect = kernels._unitarity_defect(q, tol)
+            assert (defect <= tol) == (two_norm <= tol)
+            if defect > tol:  # the fallback returns the exact 2-norm itself
+                assert defect == two_norm
+
+
 def test_smallest_singular_diagonal():
     assert kernels.smallest_singular(np.diag([1.0, 1e-8]).astype(complex)) == pytest.approx(
         1e-8, rel=1e-12
@@ -426,18 +445,8 @@ def test_invert_rejects_rectangular():
             kernels.invert(np.ones(shape, dtype=complex))
 
 
-def test_library_runtime_loads_no_scipy():
-    # scipy bundles a second OpenBLAS; once woken, its spinning idle workers
-    # slow numpy's SVD and QR, so the library calls LAPACK only through numpy
-    code = (
-        "import sys\n"
-        "import numpy as np\n"
-        "import pencilpow\n"
-        "run = pencilpow.squaring.irs(np.eye(4), 2 * np.eye(4), 3)\n"
-        "pencilpow.squaring.implicit_to_explicit(run)\n"
-        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "assert not loaded, loaded\n"
-    )
+def run_fresh(code):
+    """Run ``code`` in a fresh interpreter that imports this pencilpow; assert it succeeds."""
     src = os.path.dirname(os.path.dirname(pencilpow.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
@@ -448,6 +457,32 @@ def test_library_runtime_loads_no_scipy():
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_library_runtime_loads_no_scipy():
+    # scipy bundles a second OpenBLAS; once woken, its spinning idle workers
+    # slow numpy's SVD and QR, so the library calls LAPACK only through numpy
+    run_fresh(
+        "import sys\n"
+        "import numpy as np\n"
+        "import pencilpow\n"
+        "run = pencilpow.squaring.irs(np.eye(4), 2 * np.eye(4), 3)\n"
+        "pencilpow.squaring.implicit_to_explicit(run)\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+    )
+
+
+def test_library_import_loads_no_network_stack():
+    # xml.sax.saxutils imports urllib.request, and with it http.client, ssl
+    # and email: about 46 ms of import for escaping one SVG title
+    run_fresh(
+        "import sys\n"
+        "import pencilpow\n"
+        "heavy = ('xml.sax', 'urllib.request', 'http.client', 'ssl', 'email')\n"
+        "loaded = [m for m in heavy if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
 
 
 # --- singular value inequalities ---------------------------------------------
