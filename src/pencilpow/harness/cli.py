@@ -17,20 +17,19 @@ import sys
 from dataclasses import fields
 
 from ..errors import PencilPowError
+from ..precision import PRECISION_DTYPES
 from .emit import emit_csv, emit_svg, write_manifest
 from .experiments import (
+    CONDITIONINGS,
     EXPERIMENTS,
     ExperimentConfig,
     _runner,
     run_bound_report,
 )
+from .generators import SPECTRUM_REGIONS
 
-_PRECISION_ALIASES = {
-    "f32": "binary32",
-    "f64": "binary64",
-    "binary32": "binary32",
-    "binary64": "binary64",
-}
+# the CLI's own short spellings; every other value is checked by ExperimentConfig
+_PRECISION_ALIASES = {"f32": "binary32", "f64": "binary64"}
 
 _CONFIG_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
@@ -60,7 +59,7 @@ def _read_config_file(path):
 def _add_shared_flags(parser):
     parser.add_argument("--n", type=int)
     parser.add_argument("--p-max", dest="p_max", type=int)
-    parser.add_argument("--precision", choices=sorted(_PRECISION_ALIASES))
+    parser.add_argument("--precision", choices=sorted([*PRECISION_DTYPES, *_PRECISION_ALIASES]))
     parser.add_argument("--seed", type=int)
     parser.add_argument("--out", dest="output_dir")
 
@@ -153,8 +152,8 @@ def main(argv=None):
     run_p.add_argument("--config", help="flat key = value config file")
     run_p.add_argument("--experiment", choices=[e for e in EXPERIMENTS if e != "bound_report"])
     run_p.add_argument("--trials", type=int)
-    run_p.add_argument("--conditioning", choices=("well", "ill"))
-    run_p.add_argument("--spectrum", choices=("circle", "disk", "annulus"))
+    run_p.add_argument("--conditioning", choices=CONDITIONINGS)
+    run_p.add_argument("--spectrum", choices=SPECTRUM_REGIONS)
     run_p.add_argument("--delta", type=float)
     run_p.set_defaults(func=_cmd_run)
 

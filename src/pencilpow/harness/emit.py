@@ -12,19 +12,18 @@ from html import escape  # with quote=False, xml.sax.saxutils.escape without its
 
 import numpy as np
 
+from .. import kernels
 from .experiments import TrialRecord
 
 __all__ = ["CSV_HEADER", "emit_csv", "parse_csv", "emit_svg", "write_manifest"]
 
 CSV_HEADER = "experiment,trial,p,err_irs,err_es,kappa_A_input,kappa_Ap,sigma_n_Ap,s_selected"
 
-_FIELDS = (
-    "err_irs",
-    "err_es",
-    "kappa_a_input",
-    "kappa_ap",
-    "sigma_n_ap",
-)
+#: the `TrialRecord` fields after ``experiment``, in CSV order; every column
+#: not in _PARSERS parses with `_parse_float`
+_COLUMNS = ("trial", "p", "err_irs", "err_es", "kappa_a_input", "kappa_ap", "sigma_n_ap",
+            "s_selected")
+_PARSERS = {"trial": int, "p": int, "s_selected": lambda s: int(s) if s else None}
 
 
 def _fmt(x):
@@ -47,13 +46,7 @@ def emit_csv(records, path, experiment):
     ordered = sorted(records, key=lambda r: (r.trial, r.p))
     lines = [CSV_HEADER]
     for r in ordered:
-        lines.append(
-            ",".join(
-                [experiment, str(r.trial), str(r.p)]
-                + [_fmt(getattr(r, f)) for f in _FIELDS]
-                + [_fmt(r.s_selected)]
-            )
-        )
+        lines.append(",".join([experiment] + [_fmt(getattr(r, c)) for c in _COLUMNS]))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     return path
@@ -68,30 +61,21 @@ def parse_csv(path):
     experiment = None
     records = []
     for ln in lines[1:]:
-        cells = ln.split(",")
-        experiment = cells[0]
-        records.append(
-            TrialRecord(
-                trial=int(cells[1]),
-                p=int(cells[2]),
-                err_irs=_parse_float(cells[3]),
-                err_es=_parse_float(cells[4]),
-                kappa_a_input=_parse_float(cells[5]),
-                kappa_ap=_parse_float(cells[6]),
-                sigma_n_ap=_parse_float(cells[7]),
-                s_selected=int(cells[8]) if cells[8] else None,
-            )
-        )
+        experiment, *cells = ln.split(",")
+        records.append(TrialRecord(**{
+            c: _PARSERS.get(c, _parse_float)(s) for c, s in zip(_COLUMNS, cells)
+        }))
     return experiment, records
 
 
 def _series_stats(records, attr):
     """Per-p mean and sample std (ddof=1) of one record attribute's finite values.
 
-    The values are divided by 2^e, e the ``math.frexp`` exponent of their
-    largest modulus, so the squares in the std cannot overflow (errors of
-    an exploding run reach 1e288). The scaling is exact: outside overflow
-    and underflow the statistics are bit-identical to the unscaled ones.
+    `kernels._pow2_scaled` divides the values by 2^e, e the ``math.frexp``
+    exponent of their largest modulus, so the squares in the std cannot
+    overflow (errors of an exploding run reach 1e288). The scaling is exact:
+    outside overflow and underflow the statistics are bit-identical to the
+    unscaled ones.
     """
     by_p = {}
     for r in records:
@@ -100,8 +84,7 @@ def _series_stats(records, attr):
             by_p.setdefault(r.p, []).append(val)
     stats = []
     for p in sorted(by_p):
-        _, e = math.frexp(max(abs(v) for v in by_p[p]))
-        vals = np.ldexp(np.asarray(by_p[p], dtype=np.float64), -e)
+        vals, e = kernels._pow2_scaled(np.asarray(by_p[p], dtype=np.float64))
         std = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
         stats.append((p, math.ldexp(float(np.mean(vals)), e), math.ldexp(std, e)))
     return stats

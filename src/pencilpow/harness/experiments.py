@@ -21,6 +21,7 @@ from ..kernels import _kappa_sigma
 from ..precision import dtype_for, unit_roundoff
 from ..squaring import explicit_iter, explicit_squaring, implicit_to_explicit, irs, irs_iter
 from .generators import (
+    SPECTRUM_REGIONS,
     build_test_pencil,
     gen_ginibre,
     gen_haar,
@@ -50,13 +51,15 @@ EXPERIMENTS = (
     "bound_report",
 )
 
+CONDITIONINGS = ("well", "ill")
+
 #: per-trial relative-error cutoff mirroring "stop squaring once error explodes".
 EXPLOSION_CUTOFF = 1e3
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Flat description of one experiment run."""
+    """Flat description of one experiment run; building one checks every setting a runner reads."""
 
     experiment: str = "general_square"
     n: int = 128
@@ -76,10 +79,18 @@ class ExperimentConfig:
             raise DomainError(f"unknown experiment {self.experiment!r}; expected {EXPERIMENTS}")
         if self.trials < 1 or self.n < 2 or self.p_max < 1:
             raise DomainError("config requires trials >= 1, n >= 2, p_max >= 1")
-        if self.conditioning not in ("well", "ill"):
-            raise DomainError(f"conditioning must be 'well' or 'ill', got {self.conditioning!r}")
-        if not 0.0 < self.annulus_r_lo < self.annulus_r_hi:
-            raise DomainError("annulus bounds must satisfy 0 < r_lo < r_hi")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
+        if self.conditioning not in CONDITIONINGS:
+            raise DomainError(
+                f"unknown conditioning {self.conditioning!r}; expected {CONDITIONINGS}")
+        if self.spectrum not in SPECTRUM_REGIONS:
+            raise DomainError(
+                f"unknown spectrum region {self.spectrum!r}; expected {SPECTRUM_REGIONS}")
+        if not 0.0 < self.annulus_r_lo < self.annulus_r_hi < math.inf:
+            raise DomainError("annulus bounds must satisfy 0 < r_lo < r_hi < inf")
+        if not 0.0 < self.delta <= 1.0:
+            raise DomainError(f"delta must be in (0, 1], got {self.delta}")
         dtype_for(self.precision)  # validates the name
 
 

@@ -25,9 +25,11 @@ SPECTRUM_REGIONS = ("circle", "disk", "annulus")
 
 
 def rng_from_seed(seed):
-    """Philox generator for an integer seed; pass through existing generators."""
+    """Philox generator for a non-negative integer seed; pass through existing generators."""
     if isinstance(seed, np.random.Generator):
         return seed
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     return np.random.Generator(np.random.Philox(int(seed)))
 
 

@@ -109,12 +109,29 @@ def test_bounds_singular_a_p_writes_empty_fields(tmp_path):
 
 
 def test_invalid_config_exits_2_before_creating_the_output_dir(tmp_path, capsys):
-    cfg = tmp_path / "report.cfg"
-    cfg.write_text("experiment = bound_report\n")
+    def config_file(name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+
+    cfg = config_file("report.cfg", "experiment = bound_report\n")
+    ring = config_file("ring.cfg", "spectrum = ring\n")
+    wide = config_file("wide.cfg", "spectrum = annulus\nannulus_r_hi = inf\n")
     cases = [
         (["run", "--n", "1"], "config requires trials >= 1, n >= 2, p_max >= 1"),
         (["bounds", "--n", "1"], "config requires trials >= 1, n >= 2, p_max >= 1"),
-        (["run", "--config", str(cfg)], "run_experiment cannot dispatch 'bound_report'"),
+        (["run", "--config", cfg], "run_experiment cannot dispatch 'bound_report'"),
+        # flags and config files pass the same checks, before anything is drawn
+        (["run", "--n", "4", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["bounds", "--n", "4", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["run", "--n", "4", "--conditioning", "ill", "--delta", "0"],
+         "delta must be in (0, 1], got 0.0"),
+        (["run", "--n", "4", "--experiment", "expm_compare", "--delta", "2"],
+         "delta must be in (0, 1], got 2.0"),
+        (["run", "--n", "4", "--config", ring],
+         "unknown spectrum region 'ring'; expected ('circle', 'disk', 'annulus')"),
+        (["run", "--n", "4", "--config", wide],
+         "annulus bounds must satisfy 0 < r_lo < r_hi < inf"),
     ]
     for argv, message in cases:
         out = tmp_path / "out"

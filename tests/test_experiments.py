@@ -25,6 +25,14 @@ def test_config_validation():
         ex.ExperimentConfig(annulus_r_lo=1.2, annulus_r_hi=1.0)
     with pytest.raises(DomainError):
         ex.ExperimentConfig(precision="binary16")
+    # every value a runner reads is checked when the config is built
+    for bad in (dict(seed=-1), dict(spectrum="ring"), dict(annulus_r_hi=math.inf),
+                dict(annulus_r_lo=math.nan), dict(delta=0.0), dict(delta=2.0),
+                dict(experiment="expm_compare", delta=-1e-8), dict(conditioning="bad")):
+        with pytest.raises(DomainError):
+            ex.ExperimentConfig(**bad)
+    # the boundary values still build
+    ex.ExperimentConfig(delta=1.0, seed=0)
 
 
 def test_square_experiment_records_every_step():

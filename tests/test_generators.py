@@ -18,6 +18,16 @@ def test_ginibre_deterministic_per_seed():
     assert not np.array_equal(a, gen.gen_ginibre(16, 12346))
 
 
+def test_negative_seed_is_a_domain_error():
+    # not numpy's ValueError; a Generator passes through untouched
+    for draw in (lambda: gen.rng_from_seed(-1), lambda: gen.gen_ginibre(3, -2),
+                 lambda: gen.sample_spectrum("disk", 3, -3)):
+        with pytest.raises(DomainError):
+            draw()
+    rng = np.random.default_rng(0)
+    assert gen.rng_from_seed(rng) is rng
+
+
 def test_ginibre_moments():
     a = gen.gen_ginibre(100, 7)
     assert abs(a.mean()) < 0.05
