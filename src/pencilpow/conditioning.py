@@ -26,7 +26,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConvergenceError, DomainError, NearSingularNodeError, ShapeError
-from .precision import unit_roundoff
+from .precision import _step_count, unit_roundoff
 from .squaring import Pencil
 
 __all__ = [
@@ -94,8 +94,7 @@ def build_mp_dense(a, b, p):
     """
     pencil = Pencil(a, b)
     a, b = pencil.a, pencil.b
-    if p < 1:
-        raise ShapeError(f"build_mp_dense requires p >= 1, got {p}")
+    p = _step_count(p, 1, "build_mp_dense")
     n = a.shape[0]
     m = 2 ** p
     if m * n > MP_DENSE_MAX_SIZE:
@@ -117,8 +116,7 @@ def sigma_min_mp(a, b, p):
     Raises `DomainError` when the value itself overflows.
     """
     a, b, e = _validated(a, b)
-    if p < 1:
-        raise ShapeError(f"sigma_min_mp requires p >= 1, got {p}")
+    p = _step_count(p, 1, "sigma_min_mp")
     smin = float(np.min(_shifted_sigma_n(a, b, _roots_of_minus_one(p))))
     return _scaled_back(smin, e, "sigma_min_mp")
 

@@ -7,7 +7,9 @@
 <out>/manifest.txt. Its flags may also come from a flat ``key = value``
 config file (--config); explicit flags override file values. ``bounds``
 takes only the five settings the bound report reads, and writes
-<out>/bound_report.csv and <out>/manifest.txt.
+<out>/bound_report.csv and <out>/manifest.txt (``experiment = general_square``,
+the draw it echoes). A refused setting, config line or unreadable config file
+exits with code 2 and one ``pencilpow: error: ...`` line before <out>/ is made.
 """
 
 import argparse
@@ -16,15 +18,15 @@ import os
 import sys
 from dataclasses import fields
 
-from ..errors import PencilPowError
+from ..errors import DomainError, PencilPowError
 from ..precision import PRECISION_DTYPES
 from .emit import emit_csv, emit_svg, write_manifest
 from .experiments import (
     CONDITIONINGS,
     EXPERIMENTS,
     ExperimentConfig,
-    _runner,
     run_bound_report,
+    run_experiment,
 )
 from .generators import SPECTRUM_REGIONS
 
@@ -36,23 +38,29 @@ _CONFIG_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
 def _read_config_file(path):
     """Parse flat ``key = value`` lines into ExperimentConfig kwargs."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = list(fh)
+    except OSError as exc:
+        raise DomainError(f"{path}: cannot read config file: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: cannot read config file: {exc}") from None
     out = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise SystemExit(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, val = (s.strip() for s in line.split("=", 1))
-            if key not in _CONFIG_TYPES:
-                raise SystemExit(f"{path}:{lineno}: unknown config key {key!r}")
-            try:
-                out[key] = _CONFIG_TYPES[key](val)
-            except ValueError:
-                raise SystemExit(
-                    f"{path}:{lineno}: {key} expects {_CONFIG_TYPES[key].__name__}, got {val!r}"
-                ) from None
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DomainError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        key, val = (s.strip() for s in line.split("=", 1))
+        if key not in _CONFIG_TYPES:
+            raise DomainError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            out[key] = _CONFIG_TYPES[key](val)
+        except ValueError:
+            raise DomainError(
+                f"{path}:{lineno}: {key} expects {_CONFIG_TYPES[key].__name__}, got {val!r}"
+            ) from None
     return out
 
 
@@ -65,36 +73,28 @@ def _add_shared_flags(parser):
 
 
 def _build_config(args):
+    """The checked config of ``args``; the CLI's one refusal path (exit code 2, one line)."""
     kwargs = {}
-    if getattr(args, "config", None):
-        kwargs.update(_read_config_file(args.config))
-    for key in _CONFIG_TYPES:
-        val = getattr(args, key, None)
-        if val is not None:
-            kwargs[key] = val
-    if "precision" in kwargs:
-        kwargs["precision"] = _PRECISION_ALIASES.get(kwargs["precision"], kwargs["precision"])
-    return ExperimentConfig(**kwargs)
-
-
-def _checked(build, arg):
-    """``build(arg)``; a `PencilPowError` exits with code 2 and one line, as argparse does.
-
-    Commands check their config this way before making the output directory.
-    """
     try:
-        return build(arg)
+        if getattr(args, "config", None):
+            kwargs.update(_read_config_file(args.config))
+        for key in _CONFIG_TYPES:
+            val = getattr(args, key, None)
+            if val is not None:
+                kwargs[key] = val
+        if "precision" in kwargs:
+            kwargs["precision"] = _PRECISION_ALIASES.get(kwargs["precision"], kwargs["precision"])
+        return ExperimentConfig(**kwargs)
     except PencilPowError as exc:
         print(f"pencilpow: error: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
 
 
 def _cmd_run(args):
-    config = _checked(_build_config, args)
-    runner = _checked(_runner, config)
+    config = _build_config(args)
     out = config.output_dir
     os.makedirs(out, exist_ok=True)
-    records = runner(config)
+    records = run_experiment(config)
     csv_path = os.path.join(out, f"{config.experiment}.csv")
     svg_path = os.path.join(out, f"{config.experiment}.svg")
     emit_csv(records, csv_path, config.experiment)
@@ -105,7 +105,7 @@ def _cmd_run(args):
 
 
 def _cmd_bounds(args):
-    config = _checked(_build_config, args)
+    config = _build_config(args)
     out = config.output_dir
     os.makedirs(out, exist_ok=True)
     report = run_bound_report(config)
@@ -150,7 +150,7 @@ def main(argv=None):
     run_p = sub.add_parser("run", help="run an experiment and emit CSV/SVG")
     _add_shared_flags(run_p)
     run_p.add_argument("--config", help="flat key = value config file")
-    run_p.add_argument("--experiment", choices=[e for e in EXPERIMENTS if e != "bound_report"])
+    run_p.add_argument("--experiment", choices=EXPERIMENTS)
     run_p.add_argument("--trials", type=int)
     run_p.add_argument("--conditioning", choices=CONDITIONINGS)
     run_p.add_argument("--spectrum", choices=SPECTRUM_REGIONS)
@@ -159,7 +159,7 @@ def main(argv=None):
 
     bounds_p = sub.add_parser("bounds", help="evaluate forward-error bounds")
     _add_shared_flags(bounds_p)
-    bounds_p.set_defaults(func=_cmd_bounds, experiment="bound_report", n=16, p_max=4)
+    bounds_p.set_defaults(func=_cmd_bounds, n=16, p_max=4)
 
     args = parser.parse_args(argv)
     return args.func(args)

@@ -130,8 +130,8 @@ def count_kernels():
     state.counters.append(counts)
     try:
         yield counts
-    finally:
-        state.counters.remove(counts)
+    finally:  # by identity: equal KernelCounts values may belong to an outer scope
+        state.counters = [c for c in state.counters if c is not counts]
 
 
 @contextmanager

@@ -5,6 +5,9 @@ Matrices are plain ``numpy.ndarray`` objects; precision rides on the dtype.
 unit roundoffs ``2**-24`` and ``2**-53``.
 """
 
+import numbers
+import operator
+
 import numpy as np
 
 from .errors import DomainError, PrecisionMismatchError, ShapeError
@@ -86,6 +89,13 @@ def same_precision(a, b, op):
         raise PrecisionMismatchError(
             f"{op}: mixed precisions {precision_name(a)} and {precision_name(b)}"
         )
+
+
+def _step_count(p, least, name):
+    """``operator.index(p)``; `ShapeError` unless ``p`` is an integer >= ``least``."""
+    if not isinstance(p, numbers.Integral) or p < least:  # numpy integers pass
+        raise ShapeError(f"{name} requires an integer p >= {least}, got {p!r}")
+    return operator.index(p)
 
 
 def square_matrix(a, name="matrix"):

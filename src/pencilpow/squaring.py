@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernels
 from .errors import RankDeficientStackWarning, ShapeError
-from .precision import _finite, same_precision, square_matrix
+from .precision import _finite, _step_count, same_precision, square_matrix
 
 __all__ = [
     "Pencil",
@@ -174,8 +174,7 @@ def irs(a, b, p):
     stack, and its rank flag. A rank-deficient stack triggers a
     `RankDeficientStackWarning` and a trace flag; the iteration continues.
     """
-    if p < 1:
-        raise ShapeError(f"irs requires p >= 1, got {p}")
+    p = _step_count(p, 1, "irs")
     return next(itertools.islice(irs_iter(a, b), p - 1, None))
 
 
@@ -200,8 +199,7 @@ def explicit_squaring(a, b, p):
     p = 0 returns D_0. Raises `DomainError` when a product overflows, as
     `explicit_iter` does.
     """
-    if p < 0:
-        raise ShapeError(f"explicit_squaring requires p >= 0, got {p}")
+    p = _step_count(p, 0, "explicit_squaring")
     if p == 0:
         return _explicit_d0(a, b)
     return next(itertools.islice(explicit_iter(a, b), p - 1, None))

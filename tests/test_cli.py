@@ -1,3 +1,5 @@
+import errno
+import os
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -6,6 +8,7 @@ import pytest
 from pencilpow.errors import RankDeficientStackWarning
 from pencilpow.harness import cli
 from pencilpow.harness.emit import parse_csv
+from pencilpow.harness.experiments import EXPERIMENTS
 
 
 def test_run_writes_csv_svg_manifest(tmp_path):
@@ -44,17 +47,29 @@ def test_config_file_with_flag_override(tmp_path):
 def test_config_file_rejects_unknown_key(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("banana = 3\n")
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as info:
         cli.main(["run", "--config", str(cfg)])
+    assert info.value.code == 2
 
 
-def test_config_file_rejects_bad_value_with_location(tmp_path):
+def test_config_file_rejects_bad_value_with_location(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("experiment = toy_identity\nn = 8.0\n")
     with pytest.raises(SystemExit) as info:
         cli.main(["run", "--config", str(cfg)])
-    assert str(info.value).startswith(f"{cfg}:2: ")
-    assert "'8.0'" in str(info.value)
+    assert info.value.code == 2
+    assert capsys.readouterr().err == f"pencilpow: error: {cfg}:2: n expects int, got '8.0'\n"
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_every_experiment_is_a_run_choice_that_dispatches(tmp_path, experiment):
+    # the config's vocabulary is exactly what `run --experiment` offers and run_experiment runs
+    out = tmp_path / "out"
+    rc = cli.main(["run", "--experiment", experiment, "--n", "2", "--trials", "1",
+                   "--p-max", "1", "--out", str(out)])
+    assert rc == 0
+    name, records = parse_csv(out / f"{experiment}.csv")
+    assert name == experiment and len(records) == 1
 
 
 def test_precision_alias(tmp_path):
@@ -75,8 +90,9 @@ def test_bounds_subcommand(tmp_path):
     assert text.splitlines()[0] == "p,err_irs,bound_irs,ratio_irs,err_es,bound_es,ratio_es"
     # the manifest records the pencil actually drawn and the measured loop's kernel calls
     manifest = (out / "manifest.txt").read_text().splitlines()
-    for line in ("spectrum = annulus", "annulus_r_lo = 0.9", "conditioning = well",
-                 "trials = 1", "kernel_calls = KernelCounts(matmul=9, qr=2, inv=3)"):
+    for line in ("experiment = general_square", "spectrum = annulus", "annulus_r_lo = 0.9",
+                 "conditioning = well", "trials = 1",
+                 "kernel_calls = KernelCounts(matmul=9, qr=2, inv=3)"):
         assert line in manifest
 
 
@@ -117,10 +133,27 @@ def test_invalid_config_exits_2_before_creating_the_output_dir(tmp_path, capsys)
     cfg = config_file("report.cfg", "experiment = bound_report\n")
     ring = config_file("ring.cfg", "spectrum = ring\n")
     wide = config_file("wide.cfg", "spectrum = annulus\nannulus_r_hi = inf\n")
+    unknown = config_file("unknown.cfg", "banana = 3\n")
+    mistyped = config_file("mistyped.cfg", "n = 8.0\n")
+    missing = str(tmp_path / "missing.cfg")
+    folder = tmp_path / "folder.cfg"
+    folder.mkdir()
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"\xffn = 4\n")
     cases = [
         (["run", "--n", "1"], "config requires trials >= 1, n >= 2, p_max >= 1"),
         (["bounds", "--n", "1"], "config requires trials >= 1, n >= 2, p_max >= 1"),
-        (["run", "--config", cfg], "run_experiment cannot dispatch 'bound_report'"),
+        (["run", "--config", cfg], "unknown experiment 'bound_report'; expected "
+         "('toy_identity', 'general_square', 'condition_evolution', 'expm_compare')"),
+        # a bad or unreadable config file takes the same path as a bad value
+        (["run", "--config", unknown], f"{unknown}:1: unknown config key 'banana'"),
+        (["run", "--config", mistyped], f"{mistyped}:1: n expects int, got '8.0'"),
+        (["run", "--config", missing],
+         f"{missing}: cannot read config file: {os.strerror(errno.ENOENT)}"),
+        (["run", "--config", str(folder)],
+         f"{folder}: cannot read config file: {os.strerror(errno.EISDIR)}"),
+        (["run", "--config", str(binary)], f"{binary}: cannot read config file: 'utf-8' codec "
+         "can't decode byte 0xff in position 0: invalid start byte"),
         # flags and config files pass the same checks, before anything is drawn
         (["run", "--n", "4", "--seed", "-1"], "seed must be >= 0, got -1"),
         (["bounds", "--n", "4", "--seed", "-1"], "seed must be >= 0, got -1"),
@@ -140,3 +173,8 @@ def test_invalid_config_exits_2_before_creating_the_output_dir(tmp_path, capsys)
         assert info.value.code == 2
         assert capsys.readouterr().err == f"pencilpow: error: {message}\n"
         assert not out.exists()
+    # an empty --out is refused before os.makedirs('') can fail
+    with pytest.raises(SystemExit) as info:
+        cli.main(["run", "--n", "4", "--out", ""])
+    assert info.value.code == 2
+    assert capsys.readouterr().err == "pencilpow: error: output_dir must be a non-empty path\n"

@@ -28,11 +28,16 @@ def test_config_validation():
     # every value a runner reads is checked when the config is built
     for bad in (dict(seed=-1), dict(spectrum="ring"), dict(annulus_r_hi=math.inf),
                 dict(annulus_r_lo=math.nan), dict(delta=0.0), dict(delta=2.0),
-                dict(experiment="expm_compare", delta=-1e-8), dict(conditioning="bad")):
+                dict(experiment="expm_compare", delta=-1e-8), dict(conditioning="bad"),
+                dict(n=8.0), dict(trials=1.5), dict(p_max=2.5), dict(seed=1.5),
+                dict(output_dir="")):
         with pytest.raises(DomainError):
             ex.ExperimentConfig(**bad)
     # the boundary values still build
     ex.ExperimentConfig(delta=1.0, seed=0)
+    # numpy integers pass, and run as their Python values do
+    as_numpy = small_config(n=np.int64(8), trials=np.int64(2), p_max=np.int64(3), seed=np.int64(5))
+    assert ex.run_experiment(as_numpy) == ex.run_experiment(small_config(trials=2))
 
 
 def test_square_experiment_records_every_step():
@@ -178,7 +183,7 @@ def test_rel_err_overflowing_difference_is_a_quiet_sentinel(capfd):
 
 
 def test_bound_report_measured_below_bound():
-    config = ex.ExperimentConfig(experiment="bound_report", n=8, trials=1, p_max=3, seed=3)
+    config = ex.ExperimentConfig(n=8, trials=1, p_max=3, seed=3)
     report = ex.run_bound_report(config)
     assert len(report.rows) == 3
     for row in report.rows:
@@ -187,7 +192,7 @@ def test_bound_report_measured_below_bound():
 
 
 def test_bound_report_ratio_grows_with_p():
-    config = ex.ExperimentConfig(experiment="bound_report", n=8, trials=1, p_max=4, seed=3)
+    config = ex.ExperimentConfig(n=8, trials=1, p_max=4, seed=3)
     report = ex.run_bound_report(config)
     ratios_irs = [r.ratio_irs for r in report.rows]
     ratios_es = [r.ratio_es for r in report.rows]
@@ -198,12 +203,12 @@ def test_bound_report_ratio_grows_with_p():
 def test_bound_report_flop_identities():
     # the measured loop's calls: p steps (2 MM + 1 QR each) and p conversions
     # (1 INV + 1 MM each), plus D_0 (1 INV + 1 MM) and p explicit squarings
-    config = ex.ExperimentConfig(experiment="bound_report", n=6, trials=1, p_max=3, seed=1)
+    config = ex.ExperimentConfig(n=6, trials=1, p_max=3, seed=1)
     report = ex.run_bound_report(config)
     assert len(report.rows) == 3
     assert report.kernel_calls == kernels.KernelCounts(matmul=13, qr=3, inv=4)
     # the oracle overflows at p = 13: that step is never taken
-    config = ex.ExperimentConfig(experiment="bound_report", n=16, p_max=14, seed=5)
+    config = ex.ExperimentConfig(n=16, p_max=14, seed=5)
     report = ex.run_bound_report(config)
     assert [row.p for row in report.rows] == list(range(1, 13))
     assert report.kernel_calls.qr == 12

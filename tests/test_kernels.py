@@ -547,3 +547,14 @@ def test_kernel_counters_nested_scopes():
             kernels.matmul(a, a)
     assert outer.matmul == 2
     assert inner.matmul == 1
+
+
+def test_kernel_counters_inner_scope_opened_before_any_call():
+    # the inner scope exits with the same tally as the outer one; only it may leave
+    a = ginibre(3, rng_for(15))
+    with kernels.count_kernels() as outer:
+        with kernels.count_kernels() as inner:
+            pass
+        kernels.matmul(a, a)
+    assert outer == kernels.KernelCounts(matmul=1)
+    assert inner == kernels.KernelCounts()

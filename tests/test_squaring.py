@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import sys
 import threading
@@ -7,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from pencilpow import kernels, squaring
+from pencilpow import conditioning, kernels, squaring
 from pencilpow.errors import (
     DomainError,
     NumericallySingularError,
@@ -245,6 +246,29 @@ def test_irs_against_diagonalization_oracle():
 def test_irs_rejects_p_zero():
     with pytest.raises(ShapeError):
         squaring.irs(np.eye(2), np.eye(2), 0)
+
+
+def _fields(x):
+    return dataclasses.astuple(x) if dataclasses.is_dataclass(x) else x
+
+
+@pytest.mark.parametrize("func, least", [
+    (squaring.irs, 1),
+    (squaring.explicit_squaring, 0),
+    (conditioning.build_mp_dense, 1),
+    (conditioning.sigma_min_mp, 1),
+    (conditioning.kappa_irs, 1),
+    (conditioning.condition_chain_check, 1),
+], ids=lambda x: getattr(x, "__name__", str(x)))
+def test_step_count_is_an_integer_at_least_its_minimum(func, least):
+    # every entry point taking a step count p applies one rule (kappa_irs and the
+    # chain check through sigma_min_mp's): a numpy integer passes, a float, a
+    # string or a p below the minimum is a ShapeError
+    a, b = np.eye(2, dtype=np.complex128), np.diag([2.0, 0.5]).astype(np.complex128)
+    for bad in (least - 1, 1.5, 2.0, np.float64(2.0), "2"):
+        with pytest.raises(ShapeError, match=f"requires an integer p >= {least}, got"):
+            func(a, b, bad)
+    np.testing.assert_equal(_fields(func(a, b, np.int64(2))), _fields(func(a, b, 2)))
 
 
 def test_irs_incremental_prefix_is_exact():
