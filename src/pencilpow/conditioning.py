@@ -128,6 +128,7 @@ def kappa_irs(a, b, p):
     against ``||(A; B)||_2``: an eigenvalue of the pencil sits on an m-th
     root of -1 to working precision, or the pencil is zero.
     """
+    p = _step_count(p, 1, "kappa_irs")
     a, b, _ = _validated(a, b)
     return _kappa(kernels.spectral_norm(np.vstack([a, b])), sigma_min_mp(a, b, p), a)
 
@@ -271,6 +272,7 @@ def condition_chain_check(a, b, p):
     links are checked on the scaled pencil; sigma, d and tol are then
     scaled back.
     """
+    p = _step_count(p, 1, "condition_chain_check")
     a, b, e = _validated(a, b)
     n = a.shape[0]
     stack_sigma_n = kernels.smallest_singular(np.vstack([b, -a]))

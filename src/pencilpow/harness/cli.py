@@ -8,8 +8,9 @@
 config file (--config); explicit flags override file values. ``bounds``
 takes only the five settings the bound report reads, and writes
 <out>/bound_report.csv and <out>/manifest.txt (``experiment = general_square``,
-the draw it echoes). A refused setting, config line or unreadable config file
-exits with code 2 and one ``pencilpow: error: ...`` line before <out>/ is made.
+the draw it echoes). A refused setting, config line or unreadable config file,
+and a ``run`` that measures no row, exit with code 2 and one
+``pencilpow: error: ...`` line before <out>/ is made.
 """
 
 import argparse
@@ -72,8 +73,14 @@ def _add_shared_flags(parser):
     parser.add_argument("--out", dest="output_dir")
 
 
+def _refuse(reason):
+    """The CLI's one refusal path: one ``pencilpow: error:`` line and exit code 2."""
+    print(f"pencilpow: error: {reason}", file=sys.stderr)
+    raise SystemExit(2) from None
+
+
 def _build_config(args):
-    """The checked config of ``args``; the CLI's one refusal path (exit code 2, one line)."""
+    """The checked config of ``args``; a `PencilPowError` is refused by `_refuse`."""
     kwargs = {}
     try:
         if getattr(args, "config", None):
@@ -86,15 +93,17 @@ def _build_config(args):
             kwargs["precision"] = _PRECISION_ALIASES.get(kwargs["precision"], kwargs["precision"])
         return ExperimentConfig(**kwargs)
     except PencilPowError as exc:
-        print(f"pencilpow: error: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
+        _refuse(exc)
 
 
 def _cmd_run(args):
     config = _build_config(args)
+    records = run_experiment(config)
+    if not records:  # a squaring trial stops before the first p whose oracle overflows
+        _refuse(f"{config.experiment} measured no row: every trial's oracle "
+                "V D^(2^p) V^H overflows at p = 1")
     out = config.output_dir
     os.makedirs(out, exist_ok=True)
-    records = run_experiment(config)
     csv_path = os.path.join(out, f"{config.experiment}.csv")
     svg_path = os.path.join(out, f"{config.experiment}.svg")
     emit_csv(records, csv_path, config.experiment)

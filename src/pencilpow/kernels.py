@@ -11,10 +11,10 @@ trailing columns of Q, by compact WY products when they are read.
 
 Call counting
 -------------
-`count_kernels` opens a scope in which invocations of `matmul`, `full_qr`
-and `invert` are tallied. `invert` counts as a single inversion: the QR
-factorization and triangular solves it performs internally are not billed
-separately, matching the usual cost model T_INV / T_QR / T_MM.
+`count_kernels` opens a scope, kept in its thread's one list of open scopes,
+in which invocations of `matmul`, `full_qr` and `invert` are tallied. `invert`
+counts as a single inversion: it factors through the unbilled `_positive_qr`,
+as `qrperturb` does, matching the usual cost model T_INV / T_QR / T_MM.
 """
 
 import math
@@ -112,43 +112,29 @@ class KernelCounts:
     inv: int = 0
 
 
-_local = threading.local()
+class _Scopes(threading.local):
+    """Each thread's open `count_kernels` scopes, outermost first."""
+
+    def __init__(self):
+        self.counters = []
 
 
-def _counter_state():
-    if not hasattr(_local, "counters"):
-        _local.counters = []
-        _local.suspended = 0
-    return _local
+_scopes = _Scopes()
 
 
 @contextmanager
 def count_kernels():
     """Context manager yielding a `KernelCounts` updated by kernel calls."""
-    state = _counter_state()
     counts = KernelCounts()
-    state.counters.append(counts)
+    _scopes.counters.append(counts)
     try:
         yield counts
     finally:  # by identity: equal KernelCounts values may belong to an outer scope
-        state.counters = [c for c in state.counters if c is not counts]
-
-
-@contextmanager
-def _suspend_counting():
-    state = _counter_state()
-    state.suspended += 1
-    try:
-        yield
-    finally:
-        state.suspended -= 1
+        _scopes.counters = [c for c in _scopes.counters if c is not counts]
 
 
 def _tally(kind):
-    state = _counter_state()
-    if state.suspended:
-        return
-    for counts in state.counters:
+    for counts in _scopes.counters:
         setattr(counts, kind, getattr(counts, kind) + 1)
 
 
@@ -212,7 +198,7 @@ def _positive_qr(a, mode):
 
     diag(R) becomes exactly real and >= 0, the strict lower triangle of R is
     written to exact zeros, and Q R still reconstructs ``a``. Not tallied;
-    `full_qr` bills the call.
+    `full_qr` and `invert` bill their own calls.
     """
     n = a.shape[1]
     # numpy returns fresh arrays and writes R's strict lower triangle to
@@ -438,9 +424,9 @@ def _rank_verdict(r, r_inv, fallback):
 def invert(a):
     """Inverse of a square matrix via complete QR and a triangular solve.
 
-    A single QR-based code path is used so the stability story matches the
-    rest of the library. A matrix that `_rank_deficient` flags is
-    numerically singular, and so is one whose QR factors or inverse come
+    One QR-based code path, the unbilled `_positive_qr`, keeps the stability
+    story of the rest of the library. A matrix that `_rank_deficient` flags
+    is numerically singular, and so is one whose QR factors or inverse come
     out non-finite (an ``a`` scaled into the subnormal range).
 
     The solve ``R X = Q^H`` goes through numpy's ``?gesv``: partial-pivot LU
@@ -460,17 +446,16 @@ def invert(a):
     if n == 0:
         raise ShapeError("invert requires a nonempty matrix, got shape (0, 0)")
     _tally("inv")
-    with _suspend_counting():
-        qr = full_qr(a)
+    q, r = _positive_qr(a, "complete")
     with np.errstate(all="ignore"):  # non-finite values are checked, not warned about
         try:
-            x = np.linalg.solve(qr.R, qr.Q.conj().T)
+            x = np.linalg.solve(r, q.conj().T)
         except np.linalg.LinAlgError:  # an exactly singular R
             x = None
-    _, sigma_n, deficient = _rank_verdict(qr.R, x, a)
+    _, sigma_n, deficient = _rank_verdict(r, x, a)
     if deficient:
         raise NumericallySingularError("invert: matrix is numerically singular", sigma_n)
     # a non-finite Q makes X non-finite too
-    if x is None or not (np.isfinite(x).all() and np.isfinite(qr.R).all()):
+    if x is None or not (np.isfinite(x).all() and np.isfinite(r).all()):
         raise NumericallySingularError("invert: QR factors or inverse are not finite", sigma_n)
     return np.ascontiguousarray(x)

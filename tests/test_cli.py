@@ -140,6 +140,9 @@ def test_invalid_config_exits_2_before_creating_the_output_dir(tmp_path, capsys)
     folder.mkdir()
     binary = tmp_path / "binary.cfg"
     binary.write_bytes(b"\xffn = 4\n")
+    # |d| >= 1e199 overflows the p = 1 oracle, so every trial stops before its first row
+    huge = config_file("huge.cfg", "spectrum = annulus\nannulus_r_lo = 1e199\n"
+                       "annulus_r_hi = 1e200\ntrials = 1\np_max = 3\n")
     cases = [
         (["run", "--n", "1"], "config requires trials >= 1, n >= 2, p_max >= 1"),
         (["bounds", "--n", "1"], "config requires trials >= 1, n >= 2, p_max >= 1"),
@@ -165,6 +168,9 @@ def test_invalid_config_exits_2_before_creating_the_output_dir(tmp_path, capsys)
          "unknown spectrum region 'ring'; expected ('circle', 'disk', 'annulus')"),
         (["run", "--n", "4", "--config", wide],
          "annulus bounds must satisfy 0 < r_lo < r_hi < inf"),
+        # a valid config whose run measures no row writes nothing either
+        (["run", "--n", "4", "--config", huge], "general_square measured no row: every "
+         "trial's oracle V D^(2^p) V^H overflows at p = 1"),
     ]
     for argv, message in cases:
         out = tmp_path / "out"
@@ -178,3 +184,4 @@ def test_invalid_config_exits_2_before_creating_the_output_dir(tmp_path, capsys)
         cli.main(["run", "--n", "4", "--out", ""])
     assert info.value.code == 2
     assert capsys.readouterr().err == "pencilpow: error: output_dir must be a non-empty path\n"
+

@@ -535,8 +535,30 @@ def test_kernel_counters_and_suspension():
     with kernels.count_kernels() as counts:
         kernels.matmul(a, a)
         kernels.full_qr(a)
-        kernels.invert(a)  # internal QR/solve must not be billed
+        kernels.invert(a)  # its unbilled QR and solve are one inversion
     assert counts == kernels.KernelCounts(matmul=1, qr=1, inv=1)
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+def test_invert_bills_one_inversion_on_every_exit_path(dtype):
+    # the factorization is unbilled however invert leaves: a returned inverse, an
+    # exactly singular R, a guard rejection after the SVD fallback, a non-finite X
+    probes = dict(_guard_probe_matrices(8, dtype, rng_for(18)))
+    cases = [
+        ("well conditioned", ginibre(8, rng_for(19)) + 8 * np.eye(8), None),
+        ("zero", probes["zero"], "numerically singular"),
+        ("rank one", probes["rank one"], "numerically singular"),
+        ("overflowing inverse", probes["overflowing inverse"], "not finite"),
+    ]
+    for label, a, refusal in cases:
+        a = a.astype(dtype)
+        with kernels.count_kernels() as counts:
+            if refusal is None:
+                kernels.invert(a)
+            else:
+                with pytest.raises(NumericallySingularError, match=refusal):
+                    kernels.invert(a)
+        assert counts == kernels.KernelCounts(inv=1), label
 
 
 def test_kernel_counters_nested_scopes():

@@ -261,12 +261,13 @@ def _fields(x):
     (conditioning.condition_chain_check, 1),
 ], ids=lambda x: getattr(x, "__name__", str(x)))
 def test_step_count_is_an_integer_at_least_its_minimum(func, least):
-    # every entry point taking a step count p applies one rule (kappa_irs and the
-    # chain check through sigma_min_mp's): a numpy integer passes, a float, a
-    # string or a p below the minimum is a ShapeError
+    # every entry point taking a step count p applies one rule and names itself in
+    # the refusal: a numpy integer passes, a float, a string or a p below the
+    # minimum is a ShapeError
     a, b = np.eye(2, dtype=np.complex128), np.diag([2.0, 0.5]).astype(np.complex128)
+    refusal = f"{func.__name__} requires an integer p >= {least}, got"
     for bad in (least - 1, 1.5, 2.0, np.float64(2.0), "2"):
-        with pytest.raises(ShapeError, match=f"requires an integer p >= {least}, got"):
+        with pytest.raises(ShapeError, match=refusal):
             func(a, b, bad)
     np.testing.assert_equal(_fields(func(a, b, np.int64(2))), _fields(func(a, b, 2)))
 
