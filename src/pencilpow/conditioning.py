@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import ConvergenceError, DomainError, NearSingularNodeError, ShapeError
+from .errors import ConvergenceError, NearSingularNodeError, ShapeError
 from .precision import _step_count, unit_roundoff
 from .squaring import Pencil
 
@@ -64,14 +64,6 @@ def _validated(a, b):
     stack, e = kernels._pow2_scaled(np.vstack([pencil.a, pencil.b]))
     n = pencil.a.shape[0]
     return stack[:n], stack[n:], e
-
-
-def _scaled_back(x, e, name):
-    """``x 2^e``, or `DomainError` naming the caller ``name`` when that overflows."""
-    try:
-        return math.ldexp(x, e)
-    except OverflowError:
-        raise DomainError(f"{name}: the result {x!r} * 2^{e} overflows") from None
 
 
 def _roots_of_minus_one(p):
@@ -118,7 +110,7 @@ def sigma_min_mp(a, b, p):
     a, b, e = _validated(a, b)
     p = _step_count(p, 1, "sigma_min_mp")
     smin = float(np.min(_shifted_sigma_n(a, b, _roots_of_minus_one(p))))
-    return _scaled_back(smin, e, "sigma_min_mp")
+    return kernels._scaled_back(smin, e, "sigma_min_mp")
 
 
 def kappa_irs(a, b, p):
@@ -178,7 +170,7 @@ def distance_ill_posed(a, b):
         return float(_shifted_sigma_n(a, b, [theta])[0])
 
     refined = _golden_section(objective, thetas[k] - h, thetas[k] + h, _REFINE_ITERS)
-    return _scaled_back(min(best, refined), e, "distance_ill_posed")
+    return kernels._scaled_back(min(best, refined), e, "distance_ill_posed")
 
 
 def omega_malyshev(a, b):
@@ -293,13 +285,13 @@ def condition_chain_check(a, b, p):
     tail = math.sqrt(max(kernels.smallest_singular(hermitian), 0.0)) / (14.0 * omega)
     name = "condition_chain_check"
     return ConditionReport(
-        sigma_min_mp=_scaled_back(smin, e, name),
+        sigma_min_mp=kernels._scaled_back(smin, e, name),
         kappa_irs=kap,
-        d_ab=_scaled_back(d, e, name),
+        d_ab=kernels._scaled_back(d, e, name),
         omega_ab=omega,
-        stack_sigma_n=_scaled_back(stack_sigma_n, e, name),
+        stack_sigma_n=kernels._scaled_back(stack_sigma_n, e, name),
         p=p,
-        tol=_scaled_back(tol, e, name),
+        tol=kernels._scaled_back(tol, e, name),
         stack_vs_mp_ok=stack_sigma_n >= smin - roundoff,
         mp_vs_d_ok=smin >= d - tol,
         d_vs_omega_ok=d > tail - roundoff,

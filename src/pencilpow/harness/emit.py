@@ -8,6 +8,7 @@ the records were produced.
 """
 
 import math
+from dataclasses import fields
 from html import escape  # with quote=False, xml.sax.saxutils.escape without its imports
 
 import numpy as np
@@ -21,8 +22,7 @@ CSV_HEADER = "experiment,trial,p,err_irs,err_es,kappa_A_input,kappa_Ap,sigma_n_A
 
 #: the `TrialRecord` fields after ``experiment``, in CSV order; every column
 #: not in _PARSERS parses with `_parse_float`
-_COLUMNS = ("trial", "p", "err_irs", "err_es", "kappa_a_input", "kappa_ap", "sigma_n_ap",
-            "s_selected")
+_COLUMNS = tuple(f.name for f in fields(TrialRecord))
 _PARSERS = {"trial": int, "p": int, "s_selected": lambda s: int(s) if s else None}
 
 

@@ -42,11 +42,12 @@ def gen_ginibre(n, seed):
 def gen_haar(n, seed):
     """Haar-distributed n-by-n unitary.
 
-    QR of a complex Gaussian with the real-nonnegative diagonal
-    normalization of `kernels.full_qr`; that normalization is exactly what
-    makes the Q factor Haar rather than merely unitary.
+    LAPACK's complete Q of a complex Gaussian with the real-nonnegative
+    diagonal normalization of `kernels._positive_qr`; that normalization is
+    exactly what makes the Q factor Haar rather than merely unitary. Drawing
+    a problem is not algorithm work, so the QR is not tallied.
     """
-    return kernels.full_qr(gen_ginibre(n, seed)).Q
+    return kernels._positive_qr(gen_ginibre(n, seed), "complete")[0]
 
 
 def make_ill_conditioned(a, delta):
@@ -79,8 +80,8 @@ def sample_spectrum(region, n, seed, r_lo=0.95, r_hi=1.05):
         return phase
     if region == "disk":
         return np.sqrt(rng.random(n)) * phase
-    if not 0.0 < r_lo < r_hi:
-        raise DomainError(f"annulus requires 0 < r_lo < r_hi, got [{r_lo}, {r_hi}]")
+    if not 0.0 < r_lo < r_hi < np.inf:
+        raise DomainError(f"annulus requires 0 < r_lo < r_hi < inf, got [{r_lo}, {r_hi}]")
     return (r_lo + (r_hi - r_lo) * rng.random(n)) * phase
 
 
@@ -92,8 +93,9 @@ def build_test_pencil(a, v, d):
     (A^-1 B)^(2^p). The diagonal powers are taken by p elementwise
     squarings, so the oracle carries only O(p) rounding. For unitary ``v``
     (``||V^H V - I||_2 <= 1e-10``) the inverse is the conjugate transpose;
-    otherwise it is formed explicitly (the expm-style construction with
-    non-normal eigenvectors). The check is `kernels._unitarity_defect`'s
+    otherwise it is formed by `kernels.invert` (the expm-style construction
+    with non-normal eigenvectors), which raises `NumericallySingularError`
+    for a numerically singular ``v``. The check is `kernels._unitarity_defect`'s
     certified screen: ``||V^H V - I||_F <= 1e-10`` bounds the 2-norm, so a
     unitary ``v`` such as `gen_haar`'s passes without an eigenvalue solve,
     and only a ``v`` the screen rejects pays for the exact 2-norm.
@@ -104,7 +106,7 @@ def build_test_pencil(a, v, d):
     if kernels._unitarity_defect(v, 1e-10) <= 1e-10:
         v_inv = v.conj().T
     else:
-        v_inv = np.linalg.inv(v)
+        v_inv = kernels.invert(v)
     pencil = Pencil(a, a @ (v * d[None, :]) @ v_inv)
 
     def oracle(p):

@@ -6,8 +6,9 @@ real-nonnegative diagonal normalization, SVD, spectral-norm helpers, and
 QR-based inversion. All functions are pure and dtype-preserving; precision
 (complex64 / complex128) rides on the input arrays.
 
-A tall QR keeps LAPACK's Householder vectors and forms its Q, or only the
-trailing columns of Q, by compact WY products when they are read.
+`full_qr` keeps LAPACK's Householder vectors for every shape and forms its
+Q, or only the trailing columns of Q, by compact WY products when they are
+read.
 
 Call counting
 -------------
@@ -25,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConvergenceError, NumericallySingularError, ShapeError
+from .errors import ConvergenceError, DomainError, NumericallySingularError, ShapeError
 from .precision import as_matrix, same_precision, square_matrix, unit_roundoff
 
 __all__ = [
@@ -56,25 +57,21 @@ class FullQR:
     ``Q[:, n:]``, the m - n trailing columns, which span the orthogonal
     complement of range(A) when A has full column rank.
 
-    A square factorization holds LAPACK's complete Q. A tall one holds
-    LAPACK's Householder vectors, in complex128 for either precision, and
-    forms ``Q`` and ``complement`` on first read, each by compact WY products
-    (`_apply_reflectors`) rounded once to R's dtype; reading only
-    ``complement`` never forms the leading n columns. Either way
+    It holds LAPACK's Householder vectors, in complex128 for either
+    precision, and forms ``Q`` and ``complement`` on first read, each by
+    compact WY products (`_apply_reflectors`) rounded once to R's dtype;
+    reading only ``complement`` never forms the leading n columns.
     ``Q[:, n:]`` is bit-identical to ``complement``.
     """
 
-    def __init__(self, R, Q=None, householder=None):
+    def __init__(self, R, householder):
         self.R = R
-        self._q = Q
-        # (V, tau, phases) of a tall input: unit lower-trapezoidal V, LAPACK's
-        # tau, and the phases removed from diag(R), owed to Q's leading columns
+        # (V, tau, phases): unit lower-trapezoidal V, LAPACK's tau, and the
+        # phases removed from diag(R), owed to Q's leading columns
         self._householder = householder
 
     @cached_property
     def Q(self):
-        if self._q is not None:
-            return self._q
         v, tau, phases = self._householder
         m, n = v.shape
         lead = _apply_reflectors(v, tau, np.eye(m, n, dtype=v.dtype))
@@ -85,11 +82,8 @@ class FullQR:
 
     @cached_property
     def complement(self):
-        n = self.R.shape[1]
-        if self._q is not None:
-            return self._q[:, n:]
         v, tau, _ = self._householder
-        m = v.shape[0]
+        m, n = v.shape
         x = _apply_reflectors(v, tau, np.eye(m, m - n, -n, dtype=v.dtype))
         return x.astype(self.R.dtype, copy=False)
 
@@ -157,12 +151,12 @@ def full_qr(a):
     so that diag(R) is exactly real and >= 0, the strict lower triangle of R
     is written to exact zeros, and Q R still reconstructs ``a``.
 
-    A square ``a`` gets LAPACK's complete Q at once. A tall one is factored
-    by one ``np.linalg.qr(..., mode="raw")`` call (``?geqrf`` alone), and
-    its Q is formed from the Householder vectors only when read: a caller
-    that needs only the trailing m - n columns reads ``complement`` and never
-    pays for the leading n. Forming Q is part of the one tallied QR, so it
-    uses plain ``@``, not `matmul`.
+    Every ``a`` is factored by one ``np.linalg.qr(..., mode="raw")`` call
+    (``?geqrf`` alone), and its Q is formed from the Householder vectors
+    only when read: a caller that needs only the trailing m - n columns
+    reads ``complement`` and never pays for the leading n. Forming Q is part
+    of the one tallied QR, so it uses plain ``@``, not `matmul`. This is the
+    billed QR of the cost model; `_positive_qr` is the unbilled one.
 
     Parameters
     ----------
@@ -178,9 +172,6 @@ def full_qr(a):
     if m < n:
         raise ShapeError(f"full_qr requires m >= n, got shape {a.shape}")
     _tally("qr")
-    if m == n:
-        q, r = _positive_qr(a, "complete")
-        return FullQR(r, Q=q)
     # numpy factors complex64 input in complex128 as well; keeping those
     # reflectors unrounded rounds Q once, as LAPACK's complete Q is rounded
     h, tau = np.linalg.qr(a.astype(np.complex128, copy=False), mode="raw")
@@ -197,8 +188,9 @@ def _positive_qr(a, mode):
     """``np.linalg.qr(a, mode)`` with the phases of diag(R) moved into Q.
 
     diag(R) becomes exactly real and >= 0, the strict lower triangle of R is
-    written to exact zeros, and Q R still reconstructs ``a``. Not tallied;
-    `full_qr` and `invert` bill their own calls.
+    written to exact zeros, and Q R still reconstructs ``a``. Not tallied:
+    it serves `invert` (which bills one inversion), `gen_haar` and
+    `qrperturb`, none of which is a QR of the cost model.
     """
     n = a.shape[1]
     # numpy returns fresh arrays and writes R's strict lower triangle to
@@ -322,6 +314,14 @@ def _pow2_scaled(a):
     return np.ldexp(parts, -e).view(a.dtype), e
 
 
+def _scaled_back(x, e, name):
+    """``x 2^e``, or `DomainError` naming the caller ``name`` when that overflows."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        raise DomainError(f"{name}: the result {x!r} * 2^{e} overflows") from None
+
+
 def spectral_norm(a):
     """Largest singular value of ``a``, from the eigenvalues of a Gram matrix.
 
@@ -334,7 +334,7 @@ def spectral_norm(a):
     the SVD's time at n = 128. The same error is only relative to
     sigma_1^2, so the smallest singular value (`smallest_singular`,
     `_kappa_sigma`) keeps the SVD. Not tallied. An empty or all-zero ``a``
-    has norm 0.
+    has norm 0; a norm above the float range raises `DomainError`.
     """
     a = as_matrix(a, "a")
     if min(a.shape) == 0:
@@ -345,7 +345,7 @@ def spectral_norm(a):
         lam = float(np.linalg.eigvalsh(gram)[-1])
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceError(f"eigenvalues did not converge: {exc}") from exc
-    return math.ldexp(math.sqrt(max(lam, 0.0)), e)
+    return _scaled_back(math.sqrt(max(lam, 0.0)), e, "spectral_norm")
 
 
 def _unitarity_defect(q, tol):

@@ -179,8 +179,8 @@ def qr_perturb_certificate(a, e):
     if a.shape != e.shape:
         raise ShapeError(f"a and e differ in shape: {a.shape} vs {e.shape}")
     m, n = a.shape
-    if m < n:
-        raise ShapeError(f"qr_perturb_certificate requires m >= n, got {a.shape}")
+    if not m >= n >= 1:
+        raise ShapeError(f"qr_perturb_certificate requires m >= n >= 1, got {a.shape}")
     sv = kernels._singular_values(a)
     if kernels._rank_deficient(sv[-1], sv[0], n, unit_roundoff(a)):
         raise NumericallySingularError("qr_perturb_certificate: a is rank deficient", sv[-1])

@@ -3,7 +3,7 @@ import pytest
 import scipy.stats
 
 from pencilpow import kernels
-from pencilpow.errors import DomainError
+from pencilpow.errors import DomainError, NumericallySingularError
 from pencilpow.harness import generators as gen
 
 from conftest import rel_err, rng_for
@@ -44,6 +44,16 @@ def test_ginibre_edge_of_spectrum():
 def test_haar_unitary():
     q = gen.gen_haar(24, 8)
     assert kernels.spectral_norm(q.conj().T @ q - np.eye(24)) <= 1e-13
+
+
+def test_haar_is_the_unbilled_lapack_q():
+    # every runner draws V this way; the draw bills no QR of the cost model
+    for n in (1, 5, 40):
+        with kernels.count_kernels() as counts:
+            q = gen.gen_haar(n, 400 + n)
+        want = kernels._positive_qr(gen.gen_ginibre(n, 400 + n), "complete")[0]
+        assert np.array_equal(q, want)
+        assert counts == kernels.KernelCounts()
 
 
 def test_haar_eigenvalue_angles_uniform():
@@ -108,6 +118,8 @@ def test_spectrum_validation():
         gen.sample_spectrum("square", 4, 0)
     with pytest.raises(DomainError):
         gen.sample_spectrum("annulus", 4, 0, r_lo=1.1, r_hi=1.0)
+    with pytest.raises(DomainError):
+        gen.sample_spectrum("annulus", 4, 0, r_lo=0.5, r_hi=np.inf)
 
 
 # --- build_test_pencil ---------------------------------------------------------------
@@ -137,6 +149,11 @@ def test_pencil_unitary_v_takes_no_eigenvalue_solve(monkeypatch):
     assert np.array_equal(oracle(2), expected)  # V^-1 is V^H
     with pytest.raises(AssertionError, match="eigvalsh called"):
         gen.build_test_pencil(a, gen.gen_ginibre(16, 6), d)
+
+
+def test_pencil_singular_v_raises_numerically_singular():
+    with pytest.raises(NumericallySingularError):
+        gen.build_test_pencil(np.eye(2), np.zeros((2, 2)), np.ones(2))
 
 
 def test_pencil_identity_eigenvectors():

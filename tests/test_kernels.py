@@ -189,12 +189,17 @@ def test_full_qr_tall_degenerate_inputs(dtype):
 
 @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
 def test_full_qr_square_is_lapack_complete(dtype):
+    # a square input takes the reflector path too: R is LAPACK's bit for bit,
+    # Q is LAPACK's complete Q to roundoff, and the complement is empty
     for n in (1, 5, 40):
         a = ginibre(n, rng_for(400 + n)).astype(dtype)
+        u = unit_roundoff(a)
         q, r = kernels._positive_qr(a, "complete")
         qr = kernels.full_qr(a)
-        assert np.array_equal(qr.Q, q) and np.array_equal(qr.R, r)
-        assert qr.complement.shape == (n, 0)
+        assert np.array_equal(qr.R, r)
+        assert qr.Q.dtype == dtype and np.abs(qr.Q - q).max() <= 10 * n * u
+        assert np.linalg.norm(qr.Q.conj().T @ qr.Q - np.eye(n), 2) <= 50 * n * u
+        assert qr.complement.shape == (n, 0) and qr.complement.dtype == dtype
 
 
 def test_irs_step_requests_only_raw_qr(monkeypatch):
@@ -255,6 +260,12 @@ def test_spectral_norm_subnormal_input_is_exact():
     # 2^e overflows for e = -1073, so the scaling must not form it
     assert kernels.spectral_norm(np.array([[5e-324]])) == 5e-324
     assert kernels.spectral_norm(np.array([[2.0 ** -140]], dtype=np.complex64)) == 2.0 ** -140
+
+
+def test_spectral_norm_above_the_float_range_raises_domain_error():
+    # each entry is finite, but ||a||_2 = 2e308 is not
+    with pytest.raises(DomainError, match="spectral_norm: the result"):
+        kernels.spectral_norm(np.full((2, 2), 1e308))
 
 
 def test_spectral_norm_rejects_non_finite():
@@ -362,13 +373,13 @@ def _reference_invert(a):
     sv = np.linalg.svd(a, compute_uv=False)
     if sv[-1] < n * unit_roundoff(a) * sv[0] or sv[-1] == 0.0:
         return None, sv[-1]
-    qr = kernels.full_qr(a)
+    q, r = kernels._positive_qr(a, "complete")
     with np.errstate(all="ignore"):
         try:
-            x = np.linalg.solve(qr.R, qr.Q.conj().T)
+            x = np.linalg.solve(r, q.conj().T)
         except np.linalg.LinAlgError:
             return None, sv[-1]
-    if not all(np.isfinite(m).all() for m in (qr.Q, qr.R, x)):
+    if not all(np.isfinite(m).all() for m in (q, r, x)):
         return None, sv[-1]
     return x, sv[-1]
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pencilpow import kernels, qrperturb
-from pencilpow.errors import DomainError, NonUnitaryError, NumericallySingularError
+from pencilpow.errors import DomainError, NonUnitaryError, NumericallySingularError, ShapeError
 from pencilpow.harness.generators import gen_haar
 
 from conftest import ginibre, rng_for
@@ -226,3 +226,10 @@ def test_certificate_rank_deficient_error():
     a[0, 0] = 1.0
     with pytest.raises(NumericallySingularError):
         qrperturb.qr_perturb_certificate(a, np.zeros_like(a))
+
+
+@pytest.mark.parametrize("shape", [(3, 0), (0, 0), (2, 3)])
+def test_certificate_rejects_empty_and_wide_shapes(shape):
+    a = np.zeros(shape, dtype=complex)
+    with pytest.raises(ShapeError, match="requires m >= n >= 1"):
+        qrperturb.qr_perturb_certificate(a, a)
