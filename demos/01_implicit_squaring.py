@@ -27,7 +27,7 @@ print(f"{'p':>3} {'implicit rel err':>18} {'explicit rel err':>18}")
 # irs_iter advances one run step by step instead of restarting it for each p;
 # kappa(A_j) of each step's input block comes from A_0 and the runs' A_p
 kappa_a = [np.linalg.cond(pencil.a)]
-for run in islice(irs_iter(pencil.a, pencil.b), p_max):
+for run in islice(irs_iter(pencil.a, pencil.b), 1, p_max + 1):
     p = run.p
     kappa_a.append(np.linalg.cond(run.a_p))
     target = oracle(p)

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConvergenceError, NearSingularNodeError, ShapeError
-from .precision import _step_count, unit_roundoff
+from .precision import _count, unit_roundoff
 from .squaring import Pencil
 
 __all__ = [
@@ -86,7 +86,7 @@ def build_mp_dense(a, b, p):
     """
     pencil = Pencil(a, b)
     a, b = pencil.a, pencil.b
-    p = _step_count(p, 1, "build_mp_dense")
+    p = _count(p, 1, "build_mp_dense")
     n = a.shape[0]
     m = 2 ** p
     if m * n > MP_DENSE_MAX_SIZE:
@@ -108,7 +108,7 @@ def sigma_min_mp(a, b, p):
     Raises `DomainError` when the value itself overflows.
     """
     a, b, e = _validated(a, b)
-    p = _step_count(p, 1, "sigma_min_mp")
+    p = _count(p, 1, "sigma_min_mp")
     smin = float(np.min(_shifted_sigma_n(a, b, _roots_of_minus_one(p))))
     return kernels._scaled_back(smin, e, "sigma_min_mp")
 
@@ -120,7 +120,7 @@ def kappa_irs(a, b, p):
     against ``||(A; B)||_2``: an eigenvalue of the pencil sits on an m-th
     root of -1 to working precision, or the pencil is zero.
     """
-    p = _step_count(p, 1, "kappa_irs")
+    p = _count(p, 1, "kappa_irs")
     a, b, _ = _validated(a, b)
     return _kappa(kernels.spectral_norm(np.vstack([a, b])), sigma_min_mp(a, b, p), a)
 
@@ -264,7 +264,7 @@ def condition_chain_check(a, b, p):
     links are checked on the scaled pencil; sigma, d and tol are then
     scaled back.
     """
-    p = _step_count(p, 1, "condition_chain_check")
+    p = _count(p, 1, "condition_chain_check")
     a, b, e = _validated(a, b)
     n = a.shape[0]
     stack_sigma_n = kernels.smallest_singular(np.vstack([b, -a]))

@@ -118,18 +118,21 @@ def _even_sum(c, powers):
 def expm(m, config=None):
     """Matrix exponential by scaling and squaring.
 
-    With ``config.squaring_backend == "explicit"`` the final stage forms
-    q(X)^-1 p(X) and squares it s times; with ``"irs"`` it runs s implicit
-    squaring steps on the pencil (q(X), p(X)) and inverts only at the end.
-    Both evaluate (q(X)^-1 p(X))^(2^s); s = 0 short-circuits to the plain
-    Pade quotient under either backend.
+    With ``config.squaring_backend == "explicit"`` (the default) the final
+    stage forms q(X)^-1 p(X) and squares it s times; with ``"irs"`` it runs
+    s implicit squaring steps on the pencil (q(X), p(X)) and inverts only at
+    the end. Both evaluate (q(X)^-1 p(X))^(2^s); at s = 0 each is the plain
+    Pade quotient q(X)^-1 p(X).
 
-    Raises `NumericallySingularError` if the Pade denominator (or, on the
-    implicit path, the final A_s) is numerically singular.
+    Raises `DomainError` when ``config`` is neither None nor an
+    `ExpmConfig`, and `NumericallySingularError` if the Pade denominator
+    (or, on the implicit path, the final A_s) is numerically singular.
     """
-    config = config or ExpmConfig()
+    config = ExpmConfig() if config is None else config
+    if not isinstance(config, ExpmConfig):
+        raise DomainError(f"expm requires an ExpmConfig, got {config!r}")
     q, p, s = _final_pencil(m)
-    if s == 0 or config.squaring_backend == "explicit":
+    if config.squaring_backend == "explicit":
         return explicit_squaring(q, p, s)
     return implicit_to_explicit(irs(q, p, s))
 

@@ -146,12 +146,13 @@ def _measured_runs(a0, b0, oracle, p_max):
     """Yield ``(run, err_irs, err_es)`` for p = 1 .. p_max: absolute 2-norm errors.
 
     The runners' one measured step loop: `irs_iter` and `explicit_iter`
-    advance together, and both are measured against ``oracle(p)`` by
+    skip their p = 0 values (the input pencil and D_0) and advance
+    together, and both are measured against ``oracle(p)`` by
     `_rel_err`. Stops before the first p whose oracle is not finite, so
     neither path takes that step.
     """
-    runs = irs_iter(a0, b0)
-    es_powers = explicit_iter(a0, b0)
+    runs = islice(irs_iter(a0, b0), 1, None)
+    es_powers = islice(explicit_iter(a0, b0), 1, None)
     for p in range(1, p_max + 1):
         with np.errstate(over="ignore", invalid="ignore"):  # checked next
             target = oracle(p)
@@ -229,7 +230,7 @@ def run_condition_evolution(config):
     for trial in range(config.trials):
         a0, b0, _, _ = _draw_square_pencil(config, trial)
         kappa_in, _ = _kappa_sigma(a0)
-        for run in islice(irs_iter(a0, b0), config.p_max):
+        for run in islice(irs_iter(a0, b0), 1, config.p_max + 1):
             kappa_ap, sigma_n_ap = _kappa_sigma(run.a_p)
             records.append(
                 TrialRecord(
@@ -269,13 +270,9 @@ def run_expm_experiment(config):
         kappa_v, _ = _kappa_sigma(v)
         q, p, s = _final_pencil(m)
         err_es = _rel_err(lambda: explicit_squaring(q, p, s), reference, ref_norm)
-        if s == 0:  # both backends evaluate q(X)^-1 p(X)
-            a_s, err_irs = q, err_es
-        else:
-            run = irs(q, p, s)
-            a_s = run.a_p
-            err_irs = _rel_err(lambda: implicit_to_explicit(run), reference, ref_norm)
-        kappa_as, sigma_n_as = _kappa_sigma(a_s)
+        run = irs(q, p, s)
+        err_irs = _rel_err(lambda: implicit_to_explicit(run), reference, ref_norm)
+        kappa_as, sigma_n_as = _kappa_sigma(run.a_p)
         records.append(
             TrialRecord(
                 trial=trial,

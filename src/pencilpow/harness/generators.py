@@ -9,7 +9,8 @@ can share a stream.
 import numpy as np
 
 from .. import kernels
-from ..errors import DomainError
+from ..errors import DomainError, ShapeError
+from ..precision import _count
 from ..squaring import Pencil
 
 __all__ = [
@@ -35,6 +36,7 @@ def rng_from_seed(seed):
 
 def gen_ginibre(n, seed):
     """n-by-n matrix of i.i.d. standard complex Gaussians (x + iy)/sqrt(2)."""
+    n = _count(n, 0, "gen_ginibre", "n")
     rng = rng_from_seed(seed)
     return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
 
@@ -47,7 +49,7 @@ def gen_haar(n, seed):
     exactly what makes the Q factor Haar rather than merely unitary. Drawing
     a problem is not algorithm work, so the QR is not tallied.
     """
-    return kernels._positive_qr(gen_ginibre(n, seed), "complete")[0]
+    return kernels._positive_qr(gen_ginibre(_count(n, 0, "gen_haar", "n"), seed), "complete")[0]
 
 
 def make_ill_conditioned(a, delta):
@@ -55,11 +57,13 @@ def make_ill_conditioned(a, delta):
 
     Subtracts ``(1 - delta) sigma_n(a) u w^H`` for u, w the last left/right
     singular vectors, leaving every other singular value untouched.
-    delta = 1 returns ``a`` unchanged.
+    delta = 1 returns ``a`` unchanged. Raises `ShapeError` for an empty ``a``.
     """
     if not 0.0 < delta <= 1.0:
         raise DomainError(f"make_ill_conditioned requires delta in (0, 1], got {delta}")
     res = kernels.svd(a)
+    if res.singular_values.size == 0:
+        raise ShapeError(f"make_ill_conditioned requires a nonempty matrix, got {np.shape(a)}")
     u = res.U[:, -1]
     w = res.V[:, -1]
     shrink = (1.0 - delta) * res.singular_values[-1]
@@ -74,6 +78,7 @@ def sample_spectrum(region, n, seed, r_lo=0.95, r_hi=1.05):
     """
     if region not in SPECTRUM_REGIONS:
         raise DomainError(f"unknown spectrum region {region!r}; expected {SPECTRUM_REGIONS}")
+    n = _count(n, 0, "sample_spectrum", "n")
     rng = rng_from_seed(seed)
     phase = np.exp(2j * np.pi * rng.random(n))
     if region == "circle":
@@ -98,11 +103,16 @@ def build_test_pencil(a, v, d):
     for a numerically singular ``v``. The check is `kernels._unitarity_defect`'s
     certified screen: ``||V^H V - I||_F <= 1e-10`` bounds the 2-norm, so a
     unitary ``v`` such as `gen_haar`'s passes without an eigenvalue solve,
-    and only a ``v`` the screen rejects pays for the exact 2-norm.
+    and only a ``v`` the screen rejects pays for the exact 2-norm. Raises
+    `ShapeError` unless ``a`` and ``v`` are both n-by-n for the n entries of
+    ``d``.
     """
     a = np.asarray(a)
     v = np.asarray(v)
     d = np.asarray(d, dtype=np.complex128).ravel()
+    if not a.shape == v.shape == (d.size, d.size):
+        raise ShapeError(f"build_test_pencil requires n-by-n A and V for the n = {d.size} "
+                         f"entries of d, got {a.shape} and {v.shape}")
     if kernels._unitarity_defect(v, 1e-10) <= 1e-10:
         v_inv = v.conj().T
     else:

@@ -6,7 +6,6 @@ unit roundoffs ``2**-24`` and ``2**-53``.
 """
 
 import numbers
-import operator
 
 import numpy as np
 
@@ -91,11 +90,14 @@ def same_precision(a, b, op):
         )
 
 
-def _step_count(p, least, name):
-    """``operator.index(p)``; `ShapeError` unless ``p`` is an integer >= ``least``."""
+def _count(p, least, name, what="p"):
+    """``int(p)``; `ShapeError` unless ``p`` is an integer >= ``least``.
+
+    The one rule for a step count p and a matrix size n (``what``).
+    """
     if not isinstance(p, numbers.Integral) or p < least:  # numpy integers pass
-        raise ShapeError(f"{name} requires an integer p >= {least}, got {p!r}")
-    return operator.index(p)
+        raise ShapeError(f"{name} requires an integer {what} >= {least}, got {p!r}")
+    return int(p)
 
 
 def square_matrix(a, name="matrix"):

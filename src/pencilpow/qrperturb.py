@@ -6,8 +6,9 @@ Pieces assembled here:
   alpha(eps) = (1/eps) ln(1/(1-eps)) appearing in Sun-style QR perturbation
   bounds.
 * ``lebesgue_constant`` -- L_k = (1/2pi) integral |D_k|, the Lebesgue
-  constant of the Dirichlet kernel, which controls the norm of the
-  "keep the upper triangle" map and hence the log(n) factor below.
+  constant of the Dirichlet kernel (a finite sum, by Fejer's formula),
+  which controls the norm of the "keep the upper triangle" map and hence
+  the log(n) factor below.
 * ``triangular_norm_check`` -- for lower-triangular L with real diagonal,
   ||L||_2 <= (1/2 + L_{n+1}) ||L + L^H||_2, plus the looser explicit form
   (ln(n+1) + 3) ||L + L^H||_2.
@@ -21,6 +22,7 @@ Pieces assembled here:
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,40 +55,19 @@ def sun_alpha(eps):
     return math.log1p(eps / (1.0 - eps)) / eps
 
 
-_PANEL_NODES, _PANEL_WEIGHTS = np.polynomial.legendre.leggauss(32)
-
-
-def _dirichlet(k, theta):
-    theta = np.asarray(theta, dtype=np.float64)
-    num = np.sin((k + 0.5) * theta)
-    den = np.sin(theta / 2.0)
-    out = np.full_like(theta, 2.0 * k + 1.0)
-    nz = den != 0.0
-    out[nz] = num[nz] / den[nz]
-    return out
-
-
 def lebesgue_constant(k):
-    """L_k = (1/2 pi) integral_{-pi}^{pi} |D_k(theta)| d theta.
+    """L_k = (1/2 pi) integral_{-pi}^{pi} |D_k(theta)| d theta, by Fejer's finite sum.
 
-    D_k is even, so this integrates |D_k| over [0, pi] panel by panel
-    between the known zeros 2 pi j / (2k + 1) with Gauss-Legendre nodes;
-    D_k has constant sign inside each panel, so the integrand is smooth
-    there. L_0 = 1 exactly.
+    L_k = 1/(2k+1) + (2/pi) sum_{j=1..k} tan(pi j/(2k+1)) / j, with each
+    tangent written as the cotangent of the complementary angle
+    pi (2k+1-2j) / (4k+2), which stays accurate as j nears k. ``k`` must be
+    an integer >= 0; L_0 = 1 exactly.
     """
-    if k < 0:
-        raise DomainError(f"lebesgue_constant requires k >= 0, got {k}")
-    if k == 0:
-        return 1.0
-    cuts = np.concatenate([[0.0], 2.0 * np.pi * np.arange(1, k + 1) / (2 * k + 1), [np.pi]])
-    lo = cuts[:-1][:, None]
-    hi = cuts[1:][:, None]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    nodes = mid + half * _PANEL_NODES[None, :]
-    vals = np.abs(_dirichlet(k, nodes))
-    total = float(np.sum(half * _PANEL_WEIGHTS[None, :] * vals))
-    return total / np.pi
+    if not isinstance(k, numbers.Integral) or k < 0:  # numpy integers pass
+        raise DomainError(f"lebesgue_constant requires an integer k >= 0, got {k!r}")
+    j = np.arange(1, k + 1)
+    cot_sum = np.sum(1.0 / (j * np.tan(np.pi * (2 * k + 1 - 2 * j) / (4 * k + 2))))
+    return 1.0 / (2 * k + 1) + 2.0 / np.pi * float(cot_sum)
 
 
 def triangular_norm_check(tri):

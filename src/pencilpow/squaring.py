@@ -11,15 +11,15 @@ forming the inverse. The explicit alternative forms D_0 = A^-1 B and
 squares it p times.
 """
 
-import itertools
 import warnings
 from dataclasses import dataclass
+from itertools import count, islice
 
 import numpy as np
 
 from . import kernels
 from .errors import RankDeficientStackWarning, ShapeError
-from .precision import _finite, _step_count, same_precision, square_matrix
+from .precision import _count, _finite, same_precision, square_matrix
 
 __all__ = [
     "Pencil",
@@ -151,35 +151,35 @@ def irs_step(a_j, b_j, step_index=0):
 
 
 def irs_iter(a, b):
-    """Yield the `IRSRun` after each implicit squaring step, p = 1, 2, ...
+    """Yield the `IRSRun` after p implicit squaring steps, p = 0, 1, 2, ...
 
-    This is the one loop over `irs_step`: each step advances the previous
-    run's (A_p, B_p), never recomputing from scratch. The generator is
-    unbounded; bound it with ``itertools.islice``. The pencil is validated
-    when the first run is requested.
+    The p = 0 run holds the validated input arrays (not copies) and an empty
+    trace. This is the one loop over `irs_step`: each step advances the
+    previous run's (A_p, B_p). The generator is unbounded; bound it with
+    ``itertools.islice``. The pencil is validated when p = 0 is requested.
     """
-    trace = ()
-    for j in itertools.count():
+    pencil = Pencil(a, b)
+    a, b, trace = pencil.a, pencil.b, ()
+    for j in count():
+        yield IRSRun(a_p=a, b_p=b, trace=trace)
         a, b, entry = irs_step(a, b, step_index=j)
         trace += (entry,)
-        yield IRSRun(a_p=a, b_p=b, trace=trace)
 
 
 def irs(a, b, p):
     """Run p implicit squaring steps on the pencil (a, b): the p-th run of `irs_iter`.
 
-    Requires ``p >= 1``. The result satisfies
+    Requires ``p >= 0`` (p = 0 is the input). The result satisfies
     ``a_p^-1 b_p = (a^-1 b)^(2^p)`` up to roundoff, with one `IRSStepTrace`
     per step in ``trace``: bounds on the norm and sigma_n of that step's
     stack, and its rank flag. A rank-deficient stack triggers a
     `RankDeficientStackWarning` and a trace flag; the iteration continues.
     """
-    p = _step_count(p, 1, "irs")
-    return next(itertools.islice(irs_iter(a, b), p - 1, None))
+    return next(islice(irs_iter(a, b), _count(p, 0, "irs"), None))
 
 
 def explicit_iter(a, b):
-    """Yield D_0^(2^p) for p = 1, 2, ..., where D_0 = a^-1 b is squared once per step.
+    """Yield D_0^(2^p) for p = 0, 1, 2, ..., where D_0 = a^-1 b is squared once per step.
 
     The one loop of explicit squaring. Raises `DomainError` when a product
     overflows: D_0^(2^j) is then not representable, and a non-finite result
@@ -187,27 +187,20 @@ def explicit_iter(a, b):
     ``itertools.islice``. The pencil is validated and D_0 formed when the
     first power is requested.
     """
-    d = _explicit_d0(a, b)
-    for j in itertools.count(1):
-        d = _product(d, d, "explicit_squaring", f"D_0^(2^{j})")
+    pencil = Pencil(a, b)
+    d = _product(kernels.invert(pencil.a), pencil.b, "explicit_squaring", "D_0")
+    for j in count(1):
         yield d
+        d = _product(d, d, "explicit_squaring", f"D_0^(2^{j})")
 
 
 def explicit_squaring(a, b, p):
     """Form D_0 = a^-1 b and square it p times: the p-th value of `explicit_iter`.
 
-    p = 0 returns D_0. Raises `DomainError` when a product overflows, as
-    `explicit_iter` does.
+    Requires ``p >= 0``; p = 0 returns D_0. Raises `DomainError` when a
+    product overflows, as `explicit_iter` does.
     """
-    p = _step_count(p, 0, "explicit_squaring")
-    if p == 0:
-        return _explicit_d0(a, b)
-    return next(itertools.islice(explicit_iter(a, b), p - 1, None))
-
-
-def _explicit_d0(a, b):
-    pencil = Pencil(a, b)
-    return _product(kernels.invert(pencil.a), pencil.b, "explicit_squaring", "D_0")
+    return next(islice(explicit_iter(a, b), _count(p, 0, "explicit_squaring"), None))
 
 
 def _product(x, y, name, what):

@@ -242,3 +242,8 @@ def test_expm_singular_denominator():
 def test_expm_config_validation():
     with pytest.raises(DomainError):
         expmod.ExpmConfig(squaring_backend="fast")
+    # a config that is not an ExpmConfig is refused at s = 0 and at s >= 1 alike
+    for scale in (0.1, 30.0):
+        for config in ("irs", "explicit", {"squaring_backend": "irs"}, 0.5):
+            with pytest.raises(DomainError, match="ExpmConfig"):
+                expmod.expm(scale * np.eye(3), config)

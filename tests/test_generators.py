@@ -3,7 +3,7 @@ import pytest
 import scipy.stats
 
 from pencilpow import kernels
-from pencilpow.errors import DomainError, NumericallySingularError
+from pencilpow.errors import DomainError, NumericallySingularError, ShapeError
 from pencilpow.harness import generators as gen
 
 from conftest import rel_err, rng_for
@@ -173,3 +173,20 @@ def test_pencil_oracle_against_repeated_matmul():
     for _ in range(3):
         power = power @ power
     assert rel_err(oracle(3), power) <= 1e-12
+
+
+@pytest.mark.parametrize("call", [
+    lambda: gen.gen_ginibre(-1, 0),
+    lambda: gen.gen_haar(-1, 0),
+    lambda: gen.sample_spectrum("disk", -2, 0),
+    lambda: gen.gen_ginibre(2.5, 0),
+    lambda: gen.gen_haar("3", 0),
+    lambda: gen.build_test_pencil(np.eye(3), np.eye(3), np.ones(2)),
+    lambda: gen.build_test_pencil(np.eye(3), np.eye(2), np.ones(3)),
+    lambda: gen.make_ill_conditioned(np.zeros((0, 0)), 0.5),
+], ids=["ginibre_negative", "haar_negative", "spectrum_negative", "ginibre_float",
+        "haar_string", "pencil_short_d", "pencil_small_v", "ill_empty"])
+def test_generators_refuse_bad_sizes_with_structured_errors(call):
+    # a negative, fractional or mismatched size is a ShapeError, not a raw numpy error
+    with pytest.raises(ShapeError):
+        call()

@@ -74,8 +74,22 @@ def test_lebesgue_monotone():
 
 
 def test_lebesgue_domain():
-    with pytest.raises(DomainError):
-        qrperturb.lebesgue_constant(-1)
+    for bad in (-1, 2.5, "3", None):
+        with pytest.raises(DomainError):
+            qrperturb.lebesgue_constant(bad)
+    assert qrperturb.lebesgue_constant(np.int64(5)) == qrperturb.lebesgue_constant(5)
+
+
+def test_lebesgue_against_mpmath():
+    # Fejer's sum L_k = 1/(2k+1) + (2/pi) sum_j tan(pi j/(2k+1)) / j at 40 digits
+    import mpmath
+
+    mpmath.mp.dps = 40
+    for k in (1, 2, 30, 101, 300, 1000, 4097):
+        m = mpmath.mpf(k)
+        exact = 1 / (2 * m + 1) + 2 / mpmath.pi * mpmath.fsum(
+            mpmath.tan(mpmath.pi * j / (2 * m + 1)) / j for j in range(1, k + 1))
+        assert qrperturb.lebesgue_constant(k) == pytest.approx(float(exact), rel=1e-15, abs=0)
 
 
 # --- triangular_norm_check -----------------------------------------------------

@@ -243,17 +243,12 @@ def test_irs_against_diagonalization_oracle():
     assert rel_err(squaring.implicit_to_explicit(run), oracle(4)) <= 1e-10
 
 
-def test_irs_rejects_p_zero():
-    with pytest.raises(ShapeError):
-        squaring.irs(np.eye(2), np.eye(2), 0)
-
-
 def _fields(x):
     return dataclasses.astuple(x) if dataclasses.is_dataclass(x) else x
 
 
 @pytest.mark.parametrize("func, least", [
-    (squaring.irs, 1),
+    (squaring.irs, 0),
     (squaring.explicit_squaring, 0),
     (conditioning.build_mp_dense, 1),
     (conditioning.sigma_min_mp, 1),
@@ -286,8 +281,10 @@ def test_irs_incremental_prefix_is_exact():
 def test_irs_iter_runs_equal_irs_bit_for_bit(dtype):
     pencil, _ = well_conditioned_pencil(6, seed=27)
     a, b = pencil.a.astype(dtype), pencil.b.astype(dtype)
-    runs = list(itertools.islice(squaring.irs_iter(a, b), 4))
-    assert [run.p for run in runs] == [1, 2, 3, 4]
+    runs = list(itertools.islice(squaring.irs_iter(a, b), 5))
+    assert [run.p for run in runs] == [0, 1, 2, 3, 4]
+    # the p = 0 run is the validated input itself, not a copy
+    assert runs[0].a_p is a and runs[0].b_p is b and runs[0].trace == ()
     for run in runs:
         direct = squaring.irs(a, b, run.p)
         assert run.a_p.dtype == dtype
@@ -295,6 +292,18 @@ def test_irs_iter_runs_equal_irs_bit_for_bit(dtype):
         assert np.array_equal(run.b_p, direct.b_p)
         assert run.trace == direct.trace
         assert len(run.trace) == run.p
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+def test_p_zero_is_d0_on_both_paths(dtype):
+    pencil, _ = well_conditioned_pencil(6, seed=28)
+    a, b = pencil.a.astype(dtype), pencil.b.astype(dtype)
+    d0 = kernels.matmul(kernels.invert(a), b)
+    assert np.array_equal(next(squaring.explicit_iter(a, b)), d0)
+    assert np.array_equal(squaring.explicit_squaring(a, b, 0), d0)
+    implicit = squaring.implicit_to_explicit(squaring.irs(a, b, 0))
+    assert implicit.dtype == dtype
+    assert np.array_equal(implicit, squaring.explicit_squaring(a, b, 0))
 
 
 # --- explicit squaring -----------------------------------------------------------
