@@ -80,6 +80,9 @@ class ExperimentConfig:
         for name in ("n", "trials", "p_max", "seed"):
             if not isinstance(getattr(self, name), numbers.Integral):  # numpy integers pass
                 raise DomainError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("annulus_r_lo", "annulus_r_hi", "delta"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise DomainError(f"{name} must be a real number, got {getattr(self, name)!r}")
         if self.trials < 1 or self.n < 2 or self.p_max < 1:
             raise DomainError("config requires trials >= 1, n >= 2, p_max >= 1")
         if self.seed < 0:

@@ -6,10 +6,12 @@ existing ``numpy.random.Generator`` so that several draws within one trial
 can share a stream.
 """
 
+import numbers
+
 import numpy as np
 
 from .. import kernels
-from ..errors import DomainError, ShapeError
+from ..errors import DomainError, NonUnitaryError, ShapeError
 from ..precision import _count
 from ..squaring import Pencil
 
@@ -26,11 +28,14 @@ SPECTRUM_REGIONS = ("circle", "disk", "annulus")
 
 
 def rng_from_seed(seed):
-    """Philox generator for a non-negative integer seed; pass through existing generators."""
+    """Philox generator for an integer seed >= 0; pass through existing generators.
+
+    numpy integers pass; any other seed, a float included, is a `DomainError`.
+    """
     if isinstance(seed, np.random.Generator):
         return seed
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
     return np.random.Generator(np.random.Philox(int(seed)))
 
 
@@ -49,7 +54,7 @@ def gen_haar(n, seed):
     exactly what makes the Q factor Haar rather than merely unitary. Drawing
     a problem is not algorithm work, so the QR is not tallied.
     """
-    return kernels._positive_qr(gen_ginibre(_count(n, 0, "gen_haar", "n"), seed), "complete")[0]
+    return kernels._positive_qr(gen_ginibre(_count(n, 0, "gen_haar", "n"), seed))[0]
 
 
 def make_ill_conditioned(a, delta):
@@ -61,13 +66,10 @@ def make_ill_conditioned(a, delta):
     """
     if not 0.0 < delta <= 1.0:
         raise DomainError(f"make_ill_conditioned requires delta in (0, 1], got {delta}")
-    res = kernels.svd(a)
-    if res.singular_values.size == 0:
+    u, s, vh = kernels.svd(a)
+    if s.size == 0:
         raise ShapeError(f"make_ill_conditioned requires a nonempty matrix, got {np.shape(a)}")
-    u = res.U[:, -1]
-    w = res.V[:, -1]
-    shrink = (1.0 - delta) * res.singular_values[-1]
-    return a - shrink * np.outer(u, w.conj())
+    return a - (1.0 - delta) * s[-1] * np.outer(u[:, -1], vh[-1])
 
 
 def sample_spectrum(region, n, seed, r_lo=0.95, r_hi=1.05):
@@ -93,19 +95,16 @@ def sample_spectrum(region, n, seed, r_lo=0.95, r_hi=1.05):
 def build_test_pencil(a, v, d):
     """Oracle-checkable pencil (A, A V D V^H) from a known diagonalization.
 
-    ``d`` is the 1-D diagonal of D. Returns ``(pencil, oracle)`` where
-    ``oracle(p)`` evaluates V D^(2^p) V^-1, the exact value of
-    (A^-1 B)^(2^p). The diagonal powers are taken by p elementwise
-    squarings, so the oracle carries only O(p) rounding. For unitary ``v``
-    (``||V^H V - I||_2 <= 1e-10``) the inverse is the conjugate transpose;
-    otherwise it is formed by `kernels.invert` (the expm-style construction
-    with non-normal eigenvectors), which raises `NumericallySingularError`
-    for a numerically singular ``v``. The check is `kernels._unitarity_defect`'s
-    certified screen: ``||V^H V - I||_F <= 1e-10`` bounds the 2-norm, so a
-    unitary ``v`` such as `gen_haar`'s passes without an eigenvalue solve,
-    and only a ``v`` the screen rejects pays for the exact 2-norm. Raises
-    `ShapeError` unless ``a`` and ``v`` are both n-by-n for the n entries of
-    ``d``.
+    ``d`` is the 1-D diagonal of D and ``v`` is unitary. Returns
+    ``(pencil, oracle)`` where ``oracle(p)`` evaluates V D^(2^p) V^H, the
+    exact value of (A^-1 B)^(2^p). The diagonal powers are taken by p
+    elementwise squarings, so the oracle carries only O(p) rounding. A ``v``
+    with ``||V^H V - I||_2 > 1e-10`` raises `NonUnitaryError` carrying that
+    defect. The check is `kernels._unitarity_defect`'s certified screen:
+    ``||V^H V - I||_F <= 1e-10`` bounds the 2-norm, so a unitary ``v`` such
+    as `gen_haar`'s passes without an eigenvalue solve, and only a ``v`` the
+    screen rejects pays for the exact 2-norm. Raises `ShapeError` unless
+    ``a`` and ``v`` are both n-by-n for the n entries of ``d``.
     """
     a = np.asarray(a)
     v = np.asarray(v)
@@ -113,16 +112,16 @@ def build_test_pencil(a, v, d):
     if not a.shape == v.shape == (d.size, d.size):
         raise ShapeError(f"build_test_pencil requires n-by-n A and V for the n = {d.size} "
                          f"entries of d, got {a.shape} and {v.shape}")
-    if kernels._unitarity_defect(v, 1e-10) <= 1e-10:
-        v_inv = v.conj().T
-    else:
-        v_inv = kernels.invert(v)
-    pencil = Pencil(a, a @ (v * d[None, :]) @ v_inv)
+    defect = kernels._unitarity_defect(v, 1e-10)
+    if defect > 1e-10:
+        raise NonUnitaryError("build_test_pencil: V is not unitary", defect)
+    vh = v.conj().T
+    pencil = Pencil(a, a @ (v * d[None, :]) @ vh)
 
     def oracle(p):
         dp = d.copy()
         for _ in range(p):
             dp = dp * dp
-        return (v * dp[None, :]) @ v_inv
+        return (v * dp[None, :]) @ vh
 
     return pencil, oracle

@@ -2,9 +2,10 @@
 
 These are the black-box building blocks everything else is assembled from:
 classical matrix multiplication, full (complete) Householder QR with a
-real-nonnegative diagonal normalization, SVD, spectral-norm helpers, and
-QR-based inversion. All functions are pure and dtype-preserving; precision
-(complex64 / complex128) rides on the input arrays.
+real-nonnegative diagonal normalization, SVD as numpy's ``(u, s, vh)``,
+spectral-norm helpers, and QR-based inversion. All functions are pure and
+dtype-preserving; precision (complex64 / complex128) rides on the input
+arrays.
 
 `full_qr` keeps LAPACK's Householder vectors for every shape and forms its
 Q, or only the trailing columns of Q, by compact WY products when they are
@@ -31,7 +32,6 @@ from .precision import as_matrix, same_precision, square_matrix, unit_roundoff
 
 __all__ = [
     "FullQR",
-    "SVDResult",
     "KernelCounts",
     "count_kernels",
     "matmul",
@@ -86,15 +86,6 @@ class FullQR:
         m, n = v.shape
         x = _apply_reflectors(v, tau, np.eye(m, m - n, -n, dtype=v.dtype))
         return x.astype(self.R.dtype, copy=False)
-
-
-@dataclass(frozen=True)
-class SVDResult:
-    """Thin SVD A = U diag(s) V^H with ``s`` sorted nonincreasing."""
-
-    U: np.ndarray
-    singular_values: np.ndarray
-    V: np.ndarray
 
 
 @dataclass
@@ -184,18 +175,19 @@ def full_qr(a):
     return FullQR(r, householder=(v, tau, phases))
 
 
-def _positive_qr(a, mode):
-    """``np.linalg.qr(a, mode)`` with the phases of diag(R) moved into Q.
+def _positive_qr(a):
+    """Reduced ``np.linalg.qr(a)`` with the phases of diag(R) moved into Q.
 
     diag(R) becomes exactly real and >= 0, the strict lower triangle of R is
-    written to exact zeros, and Q R still reconstructs ``a``. Not tallied:
-    it serves `invert` (which bills one inversion), `gen_haar` and
-    `qrperturb`, none of which is a QR of the cost model.
+    written to exact zeros, and Q R still reconstructs ``a``. For a square
+    ``a`` numpy's reduced Q is LAPACK's complete one. Not tallied: it serves
+    `invert` (which bills one inversion), `gen_haar` and `qrperturb`, none
+    of which is a QR of the cost model.
     """
     n = a.shape[1]
     # numpy returns fresh arrays and writes R's strict lower triangle to
     # zeros itself, so both factors are scaled in place
-    q, r = np.linalg.qr(a, mode=mode)
+    q, r = np.linalg.qr(a)
     phases = _positive_diagonal(r)
     with np.errstate(over="ignore", invalid="ignore"):
         q[:, :n] *= phases[None, :]
@@ -278,18 +270,16 @@ def _rank_deficient(sigma_n, sigma_1, n, u):
 
 
 def svd(a):
-    """Thin SVD of ``a``.
+    """Thin SVD of ``a``: numpy's ``(u, s, vh)``, unpacked by position.
 
-    Returns U (m, k), singular values (k,) sorted nonincreasing, and V
-    (n, k) with columns the right singular vectors, k = min(m, n), so that
-    ``a ~= U @ diag(s) @ V.conj().T``.
+    u is (m, k), s (k,) sorted nonincreasing and vh (k, n), k = min(m, n),
+    so that ``a ~= u @ diag(s) @ vh``.
     """
     a = as_matrix(a, "a")
     try:
-        u, s, vh = np.linalg.svd(a, full_matrices=False)
+        return np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"svd did not converge: {exc}") from exc
-    return SVDResult(U=u, singular_values=s, V=vh.conj().T)
 
 
 def _kappa_sigma(a):
@@ -422,7 +412,7 @@ def _rank_verdict(r, r_inv, fallback):
 
 
 def invert(a):
-    """Inverse of a square matrix via complete QR and a triangular solve.
+    """Inverse of a square matrix via QR and a triangular solve.
 
     One QR-based code path, the unbilled `_positive_qr`, keeps the stability
     story of the rest of the library. A matrix that `_rank_deficient` flags
@@ -446,7 +436,7 @@ def invert(a):
     if n == 0:
         raise ShapeError("invert requires a nonempty matrix, got shape (0, 0)")
     _tally("inv")
-    q, r = _positive_qr(a, "complete")
+    q, r = _positive_qr(a)
     with np.errstate(all="ignore"):  # non-finite values are checked, not warned about
         try:
             x = np.linalg.solve(r, q.conj().T)

@@ -39,15 +39,6 @@ def dtype_for(precision):
         ) from None
 
 
-def precision_name(a):
-    """Return 'binary32' or 'binary64' for a matrix or dtype."""
-    dt = np.dtype(getattr(a, "dtype", a))
-    for name, cdt in PRECISION_DTYPES.items():
-        if np.dtype(cdt) == dt:
-            return name
-    raise DomainError(f"unsupported dtype {dt}")
-
-
 def unit_roundoff(a):
     """Unit roundoff of a matrix, dtype, or precision name."""
     if isinstance(a, str):
@@ -86,7 +77,7 @@ def same_precision(a, b, op):
     """Raise unless two matrices share a dtype."""
     if a.dtype != b.dtype:
         raise PrecisionMismatchError(
-            f"{op}: mixed precisions {precision_name(a)} and {precision_name(b)}"
+            f"{op}: mixed precisions {a.dtype} and {b.dtype}"
         )
 
 

@@ -121,8 +121,8 @@ def align_complement(q, u):
     n = q.shape[0] // 2
     q2 = q[:, n:]
     u2 = u[:, n:]
-    svd = kernels.svd(u2.conj().T @ q2)
-    w = svd.U @ svd.V.conj().T
+    left, _, right_h = kernels.svd(u2.conj().T @ q2)
+    w = left @ right_h
     residual = kernels.spectral_norm(q2 - u2 @ w)
     return w, residual
 
@@ -168,8 +168,8 @@ def qr_perturb_certificate(a, e):
     e_norm = kernels.spectral_norm(e)
     alpha_arg = e_norm / float(sv[-1])
     # reduced QR with real positive diag(R): the unique factorization
-    q_a, _ = kernels._positive_qr(a, "reduced")
-    q_ae, _ = kernels._positive_qr(a + e, "reduced")
+    q_a, _ = kernels._positive_qr(a)
+    q_ae, _ = kernels._positive_qr(a + e)
     empirical = kernels.spectral_norm(q_ae - q_a)
     if alpha_arg >= 1.0:
         return PerturbCertificate(empirical, float("inf"), alpha_arg, valid=False)

@@ -1,9 +1,11 @@
-"""The benchmark's tracer still fits the library.
+"""The benchmark's tracer and workloads still fit the library.
 
 ``perfbench/tracing.py`` wraps library functions by name and checks its
 ``kernels.full_qr`` / ``matmul`` / ``invert`` spans against `count_kernels`.
 A renamed function, or a QR billed outside `full_qr`, would otherwise surface
-only as a benchmark run reporting ``correct: false``.
+only as a benchmark run reporting ``correct: false``. Each workload of
+``perfbench/workloads.py`` also runs one op through its own check, so a
+library change that fails it shows here, not as a ``pass_ratio`` of 0.
 """
 
 import os
@@ -21,6 +23,7 @@ CODE = """
 import importlib
 import numpy as np
 import tracing
+import workloads
 from pencilpow import expm, squaring
 from pencilpow.harness import experiments, generators
 
@@ -54,6 +57,10 @@ with tracer.installed():
         assert record.kernel_counts.qr > 0, name
         if name == "expm":
             assert len(scalings) == 2 and min(scalings) >= 1, scalings
+
+for name, workload in workloads.WORKLOADS.items():
+    state = workload.setup(1, ".")
+    assert workload.check(state, 0, workload.op(state, 0)).passed, name
 """
 
 

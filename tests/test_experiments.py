@@ -30,7 +30,8 @@ def test_config_validation():
                 dict(annulus_r_lo=math.nan), dict(delta=0.0), dict(delta=2.0),
                 dict(experiment="expm_compare", delta=-1e-8), dict(conditioning="bad"),
                 dict(n=8.0), dict(trials=1.5), dict(p_max=2.5), dict(seed=1.5),
-                dict(output_dir="")):
+                dict(output_dir=""), dict(delta="0.5"), dict(annulus_r_lo=None),
+                dict(annulus_r_hi="1.05")):
         with pytest.raises(DomainError):
             ex.ExperimentConfig(**bad)
     # the boundary values still build

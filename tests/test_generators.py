@@ -3,7 +3,7 @@ import pytest
 import scipy.stats
 
 from pencilpow import kernels
-from pencilpow.errors import DomainError, NumericallySingularError, ShapeError
+from pencilpow.errors import DomainError, NonUnitaryError, ShapeError
 from pencilpow.harness import generators as gen
 
 from conftest import rel_err, rng_for
@@ -26,6 +26,13 @@ def test_negative_seed_is_a_domain_error():
             draw()
     rng = np.random.default_rng(0)
     assert gen.rng_from_seed(rng) is rng
+
+
+@pytest.mark.parametrize("seed", [2.5, 3.0, "3", None, float("nan")])
+def test_non_integer_seed_is_a_domain_error(seed):
+    # int() would truncate 2.5 to seed 2's draw; "3" and None would raise a raw TypeError
+    with pytest.raises(DomainError, match="seed must be an integer"):
+        gen.rng_from_seed(seed)
 
 
 def test_ginibre_moments():
@@ -51,7 +58,7 @@ def test_haar_is_the_unbilled_lapack_q():
     for n in (1, 5, 40):
         with kernels.count_kernels() as counts:
             q = gen.gen_haar(n, 400 + n)
-        want = kernels._positive_qr(gen.gen_ginibre(n, 400 + n), "complete")[0]
+        want = kernels._positive_qr(gen.gen_ginibre(n, 400 + n))[0]
         assert np.array_equal(q, want)
         assert counts == kernels.KernelCounts()
 
@@ -151,9 +158,11 @@ def test_pencil_unitary_v_takes_no_eigenvalue_solve(monkeypatch):
         gen.build_test_pencil(a, gen.gen_ginibre(16, 6), d)
 
 
-def test_pencil_singular_v_raises_numerically_singular():
-    with pytest.raises(NumericallySingularError):
+def test_pencil_non_unitary_v_raises_with_its_defect():
+    # ||0^H 0 - I||_2 = 1
+    with pytest.raises(NonUnitaryError) as exc:
         gen.build_test_pencil(np.eye(2), np.zeros((2, 2)), np.ones(2))
+    assert exc.value.defect == 1.0
 
 
 def test_pencil_identity_eigenvectors():
