@@ -8,20 +8,22 @@
 config file (--config); explicit flags override file values. ``bounds``
 takes only the five settings the bound report reads, and writes
 <out>/bound_report.csv and <out>/manifest.txt (``experiment = general_square``,
-the draw it echoes). A refused setting, config line or unreadable config file,
-and a ``run`` that measures no row, exit with code 2 and one
-``pencilpow: error: ...`` line before <out>/ is made.
+the draw it echoes); `emit` formats every CSV cell. A refused setting, config
+line or unreadable config file, an ``--out`` that exists and is not a
+directory, and a ``run`` that measures no row, exit with code 2 and one
+``pencilpow: error: ...`` line before <out>/ is made. Both commands make
+<out>/ after the computation; an `OSError` from making or writing into it
+takes the same exit.
 """
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import fields
 
 from ..errors import DomainError, PencilPowError
 from ..precision import PRECISION_DTYPES
-from .emit import emit_csv, emit_svg, write_manifest
+from .emit import emit_bound_csv, emit_csv, emit_svg, write_manifest
 from .experiments import (
     CONDITIONINGS,
     EXPERIMENTS,
@@ -80,7 +82,8 @@ def _refuse(reason):
 
 
 def _build_config(args):
-    """The checked config of ``args``; a `PencilPowError` is refused by `_refuse`."""
+    """The checked config of ``args``; a `PencilPowError`, or an ``--out`` that
+    exists and is not a directory, is refused by `_refuse`."""
     kwargs = {}
     try:
         if getattr(args, "config", None):
@@ -91,9 +94,12 @@ def _build_config(args):
                 kwargs[key] = val
         if "precision" in kwargs:
             kwargs["precision"] = _PRECISION_ALIASES.get(kwargs["precision"], kwargs["precision"])
-        return ExperimentConfig(**kwargs)
+        config = ExperimentConfig(**kwargs)
     except PencilPowError as exc:
         _refuse(exc)
+    if os.path.exists(config.output_dir) and not os.path.isdir(config.output_dir):
+        _refuse(f"{config.output_dir}: --out exists and is not a directory")
+    return config
 
 
 def _cmd_run(args):
@@ -104,10 +110,9 @@ def _cmd_run(args):
                 "V D^(2^p) V^H overflows at p = 1")
     out = config.output_dir
     os.makedirs(out, exist_ok=True)
-    csv_path = os.path.join(out, f"{config.experiment}.csv")
-    svg_path = os.path.join(out, f"{config.experiment}.svg")
-    emit_csv(records, csv_path, config.experiment)
-    emit_svg(records, svg_path, title=config.experiment)
+    csv_path = emit_csv(records, os.path.join(out, f"{config.experiment}.csv"), config.experiment)
+    svg_path = emit_svg(records, os.path.join(out, f"{config.experiment}.svg"),
+                        title=config.experiment)
     write_manifest(os.path.join(out, "manifest.txt"), config)
     print(f"wrote {csv_path}, {svg_path} ({len(records)} rows)")
     return 0
@@ -115,25 +120,12 @@ def _cmd_run(args):
 
 def _cmd_bounds(args):
     config = _build_config(args)
+    report = run_bound_report(config)
     out = config.output_dir
     os.makedirs(out, exist_ok=True)
-    report = run_bound_report(config)
-    path = os.path.join(out, "bound_report.csv")
-    with open(path, "w") as fh:
-        fh.write("p,err_irs,bound_irs,ratio_irs,err_es,bound_es,ratio_es\n")
-        for row in report.rows:
-            cells = (row.err_irs, row.bound_irs, row.ratio_irs,
-                     row.err_es, row.bound_es, row.ratio_es)
-            fh.write(",".join([str(row.p)] + [
-                # a NaN sentinel (a failed step) stays an empty field
-                "" if math.isnan(x) else format(x, spec)
-                for x, spec in zip(cells, (".17g", ".17g", ".6g") * 2)
-            ]) + "\n")
-    write_manifest(
-        os.path.join(out, "manifest.txt"),
-        report.config,
-        extra={"kernel_calls": report.kernel_calls},
-    )
+    path = emit_bound_csv(report.rows, os.path.join(out, "bound_report.csv"))
+    write_manifest(os.path.join(out, "manifest.txt"), report.config,
+                   extra={"kernel_calls": report.kernel_calls})
     _print_bound_table(report)
     print(f"wrote {path}")
     return 0
@@ -171,7 +163,10 @@ def main(argv=None):
     bounds_p.set_defaults(func=_cmd_bounds, n=16, p_max=4)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # from making <out>/ or writing into it, after the computation
+        _refuse(f"cannot write output: {exc}")
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
-"""CSV, SVG, and manifest emission for experiment records.
+"""CSV, SVG, and manifest emission for experiment records and the bound report.
 
-The CSV schema is fixed; floats are serialized with 17 significant digits
-so binary64 values round-trip exactly. Sentinels (NaN errors, absent s)
-serialize as empty fields, never as fake numbers. Records are stable-sorted
-by (trial, p) before emission so output is reproducible regardless of how
-the records were produced.
+The one module that formats or parses a CSV cell, through `_fmt`. Floats,
++-inf included, are written with 17 significant digits (the bound report's
+two ratios with 6) so binary64 values round-trip exactly; None and NaN, the
+only sentinels (a failed step, an absent s), are empty fields, never fake
+numbers. Records are stable-sorted by (trial, p) before emission so output
+is reproducible regardless of how the records were produced.
 """
 
 import math
@@ -16,7 +17,7 @@ import numpy as np
 from .. import kernels
 from .experiments import TrialRecord
 
-__all__ = ["CSV_HEADER", "emit_csv", "parse_csv", "emit_svg", "write_manifest"]
+__all__ = ["CSV_HEADER", "emit_csv", "parse_csv", "emit_bound_csv", "emit_svg", "write_manifest"]
 
 CSV_HEADER = "experiment,trial,p,err_irs,err_es,kappa_A_input,kappa_Ap,sigma_n_Ap,s_selected"
 
@@ -25,18 +26,26 @@ CSV_HEADER = "experiment,trial,p,err_irs,err_es,kappa_A_input,kappa_Ap,sigma_n_A
 _COLUMNS = tuple(f.name for f in fields(TrialRecord))
 _PARSERS = {"trial": int, "p": int, "s_selected": lambda s: int(s) if s else None}
 
+#: the bound report's columns, each a `BoundReportRow` attribute
+_BOUND_COLUMNS = ("p", "err_irs", "bound_irs", "ratio_irs", "err_es", "bound_es", "ratio_es")
 
-def _fmt(x):
-    # sentinels (failed steps, degenerate diagnostics) stay empty fields
-    if x is None or (isinstance(x, float) and not math.isfinite(x)):
+
+def _fmt(x, spec=".17g"):
+    # None and NaN (failed steps, absent values) are the only sentinels and stay
+    # empty fields; every other float, +-inf included, is written in ``spec``
+    if x is None or x != x:
         return ""
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
+    return format(x, spec) if isinstance(x, float) else str(x)
 
 
 def _parse_float(s):
     return float(s) if s else float("nan")
+
+
+def _write_lines(path, lines):
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return path
 
 
 def emit_csv(records, path, experiment):
@@ -44,28 +53,39 @@ def emit_csv(records, path, experiment):
     if not records:
         raise ValueError("emit_csv requires at least one record")
     ordered = sorted(records, key=lambda r: (r.trial, r.p))
-    lines = [CSV_HEADER]
-    for r in ordered:
-        lines.append(",".join([experiment] + [_fmt(getattr(r, c)) for c in _COLUMNS]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
+    return _write_lines(path, [CSV_HEADER] + [
+        ",".join([experiment] + [_fmt(getattr(r, c)) for c in _COLUMNS]) for r in ordered
+    ])
 
 
 def parse_csv(path):
-    """Inverse of `emit_csv`: returns ``(experiment, records)``."""
+    """Inverse of `emit_csv`: returns ``(experiment, records)``.
+
+    A row whose cell count differs from the header's, or whose experiment
+    differs from the first row's, raises ValueError naming ``path:line``.
+    """
     with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln]
+        lines = fh.read().splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"{path}: missing or unexpected header")
-    experiment = None
-    records = []
-    for ln in lines[1:]:
-        experiment, *cells = ln.split(",")
-        records.append(TrialRecord(**{
-            c: _PARSERS.get(c, _parse_float)(s) for c, s in zip(_COLUMNS, cells)
-        }))
-    return experiment, records
+    rows = [ln.split(",") for ln in lines[1:]]
+    experiment = rows[0][0] if rows else None
+    for lineno, cells in enumerate(rows, 2):
+        if len(cells) != 1 + len(_COLUMNS) or cells[0] != experiment:
+            raise ValueError(f"{path}:{lineno}: expected {1 + len(_COLUMNS)} cells of "
+                             f"experiment {experiment!r}, got {lines[lineno - 1]!r}")
+    return experiment, [TrialRecord(**{
+        c: _PARSERS.get(c, _parse_float)(s) for c, s in zip(_COLUMNS, cells[1:])
+    }) for cells in rows]
+
+
+def emit_bound_csv(rows, path):
+    """Write the bound report's `BoundReportRow`s to ``path``; returns the path."""
+    return _write_lines(path, [",".join(_BOUND_COLUMNS)] + [
+        ",".join(_fmt(getattr(row, c), ".6g" if c.startswith("ratio") else ".17g")
+                 for c in _BOUND_COLUMNS)
+        for row in rows
+    ])
 
 
 def _series_stats(records, attr):
@@ -197,9 +217,7 @@ def emit_svg(records, path, title=""):
             f'<text x="{_W - _MR - 80}" y="{y_leg + 4}" font-size="11">{label}</text>'
         )
     parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
-    return path
+    return _write_lines(path, parts)
 
 
 def write_manifest(path, config, extra=None):
@@ -211,6 +229,4 @@ def write_manifest(path, config, extra=None):
         lines.append(f"{key} = {val}")
     for key, val in (extra or {}).items():
         lines.append(f"{key} = {val}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
+    return _write_lines(path, lines)

@@ -185,3 +185,28 @@ def test_invalid_config_exits_2_before_creating_the_output_dir(tmp_path, capsys)
     assert info.value.code == 2
     assert capsys.readouterr().err == "pencilpow: error: output_dir must be a non-empty path\n"
 
+
+@pytest.mark.parametrize("command, runner", [
+    (["run", "--experiment", "toy_identity", "--trials", "1"], "run_experiment"),
+    (["bounds"], "run_bound_report"),
+])
+def test_out_that_is_not_a_directory_exits_2(tmp_path, capsys, monkeypatch, command, runner):
+    # an existing file is refused before the computation; a path below a file
+    # fails in os.makedirs after it, and takes the same one-line exit
+    calls = []
+    compute = getattr(cli, runner)
+    monkeypatch.setattr(cli, runner, lambda config: calls.append(config) or compute(config))
+    file = tmp_path / "file"
+    file.write_text("kept\n")
+    cases = [
+        (file, 0, f"{file}: --out exists and is not a directory"),
+        (file / "sub", 1, "cannot write output: "
+         f"[Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: '{file / 'sub'}'"),
+    ]
+    for out, n_calls, message in cases:
+        with pytest.raises(SystemExit) as info:
+            cli.main(command + ["--n", "4", "--p-max", "2", "--out", str(out)])
+        assert info.value.code == 2
+        assert len(calls) == n_calls
+        assert tuple(capsys.readouterr()) == ("", f"pencilpow: error: {message}\n")
+    assert file.read_text() == "kept\n"

@@ -8,12 +8,13 @@ import pytest
 from pencilpow.harness.emit import (
     CSV_HEADER,
     _series_stats,
+    emit_bound_csv,
     emit_csv,
     emit_svg,
     parse_csv,
     write_manifest,
 )
-from pencilpow.harness.experiments import ExperimentConfig, TrialRecord
+from pencilpow.harness.experiments import BoundReportRow, ExperimentConfig, TrialRecord
 
 
 def sample_records():
@@ -58,6 +59,38 @@ def test_csv_sentinels_serialize_empty(tmp_path):
     cells = row_with_nan.split(",")
     assert cells[4] == ""   # NaN err_es
     assert cells[8] == ""   # absent s_selected
+
+
+@pytest.mark.parametrize("line, edit", [
+    (2, lambda ln: ln.rsplit(",", 1)[0]),          # a short row
+    (3, lambda ln: ln + ",7"),                     # a long row
+    (4, lambda ln: "other" + ln[len("x"):]),       # another experiment's row
+])
+def test_parse_csv_refuses_a_malformed_row_with_its_location(tmp_path, line, edit):
+    path = tmp_path / "bad.csv"
+    emit_csv(sample_records(), path, "x")
+    lines = path.read_text().splitlines()
+    lines[line - 1] = edit(lines[line - 1])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^{path}:{line}: "):
+        parse_csv(path)
+
+
+def test_bound_csv_cells(tmp_path):
+    # NaN (a failed step) is the only empty field; +-inf are values; the
+    # ratios keep 6 significant digits
+    nan, inf = float("nan"), float("inf")
+    rows = [
+        BoundReportRow(p=1, err_irs=nan, bound_irs=inf, err_es=3.0, bound_es=1.0),
+        BoundReportRow(p=2, err_irs=0.0, bound_irs=0.1, err_es=2.0, bound_es=-inf),
+    ]
+    path = tmp_path / "bound_report.csv"
+    assert emit_bound_csv(rows, path) == path
+    assert path.read_text().splitlines() == [
+        "p,err_irs,bound_irs,ratio_irs,err_es,bound_es,ratio_es",
+        "1,,inf,,3,1,0.333333",
+        "2,0,0.10000000000000001,inf,2,-inf,-inf",
+    ]
 
 
 def test_csv_requires_records(tmp_path):
@@ -121,8 +154,8 @@ def test_series_stats_finite_for_huge_errors():
 
 
 def test_svg_skips_infinite_kappa(tmp_path):
-    # kappa_2(A_p) is inf where sigma_n(A_p) is exactly 0; the CSV leaves that
-    # cell empty and the plot leaves the value out
+    # kappa_2(A_p) is inf where sigma_n(A_p) is exactly 0; the CSV writes that
+    # cell as inf and the plot leaves the value out
     records = [
         TrialRecord(trial=t, p=p, kappa_a_input=3.0, kappa_ap=k, sigma_n_ap=0.0)
         for t, (p, k) in enumerate([(1, 1.0), (1, float("inf")), (2, 2.0), (2, 4.0)])

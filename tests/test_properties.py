@@ -7,6 +7,8 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from pencilpow import conditioning, kernels, qrperturb
+from pencilpow.harness.emit import emit_csv, parse_csv
+from pencilpow.harness.experiments import TrialRecord
 from pencilpow.harness.generators import gen_ginibre, sample_spectrum
 
 U64 = 2.0 ** -53
@@ -102,3 +104,21 @@ def test_spectral_norm_matches_svd_sigma_1(m, n, kind, scale_sign, dtype, seed):
     # n u from the inner products, a few u from the eigensolver and the sqrt
     tol = 2 * (max(m, n) + 4) * u
     assert abs(kernels.spectral_norm(a) - sigma_1) <= tol * sigma_1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.builds(
+    TrialRecord,
+    trial=st.integers(min_value=0, max_value=3),
+    p=st.integers(min_value=0, max_value=3),
+    err_irs=st.floats(), err_es=st.floats(), kappa_a_input=st.floats(),
+    kappa_ap=st.floats(), sigma_n_ap=st.floats(),
+    s_selected=st.none() | st.integers(min_value=0, max_value=60),
+), min_size=1, max_size=8))
+@example([TrialRecord(trial=0, p=1, err_irs=float("-inf"), kappa_ap=float("inf"))])
+def test_csv_round_trip_is_exact(tmp_path_factory, records):
+    # repr compares NaN to NaN and tells -0.0 from 0.0
+    path = tmp_path_factory.mktemp("csv") / "rt.csv"
+    experiment, parsed = parse_csv(emit_csv(records, path, "general_square"))
+    assert experiment == "general_square"
+    assert list(map(repr, parsed)) == list(map(repr, sorted(records, key=lambda r: (r.trial, r.p))))
