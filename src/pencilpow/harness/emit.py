@@ -61,8 +61,9 @@ def emit_csv(records, path, experiment):
 def parse_csv(path):
     """Inverse of `emit_csv`: returns ``(experiment, records)``.
 
-    A row whose cell count differs from the header's, or whose experiment
-    differs from the first row's, raises ValueError naming ``path:line``.
+    A row whose cell count differs from the header's, whose experiment
+    differs from the first row's, or with a cell its column cannot parse
+    raises ValueError naming ``path:line``.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -70,13 +71,19 @@ def parse_csv(path):
         raise ValueError(f"{path}: missing or unexpected header")
     rows = [ln.split(",") for ln in lines[1:]]
     experiment = rows[0][0] if rows else None
+    records = []
     for lineno, cells in enumerate(rows, 2):
         if len(cells) != 1 + len(_COLUMNS) or cells[0] != experiment:
             raise ValueError(f"{path}:{lineno}: expected {1 + len(_COLUMNS)} cells of "
                              f"experiment {experiment!r}, got {lines[lineno - 1]!r}")
-    return experiment, [TrialRecord(**{
-        c: _PARSERS.get(c, _parse_float)(s) for c, s in zip(_COLUMNS, cells[1:])
-    }) for cells in rows]
+        values = {}
+        for c, cell in zip(_COLUMNS, cells[1:]):
+            try:
+                values[c] = _PARSERS.get(c, _parse_float)(cell)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: column {c!r} cannot hold {cell!r}") from None
+        records.append(TrialRecord(**values))
+    return experiment, records
 
 
 def emit_bound_csv(rows, path):

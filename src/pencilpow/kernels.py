@@ -221,35 +221,26 @@ def _apply_reflectors(v, tau, x):
     The reflectors are applied last block first, `_BLOCK` at a time, each
     block as one compact WY product ``H_s ... H_e = I - V T V^H`` (Schreiber
     and Van Loan, 1989): three plain matmuls on the rows s: that the block
-    touches. Blocks, rather than one n-wide T, keep IRS's errors at the level
+    touches, with ``T = (I + diag(tau) striu(V^H V))^-1 diag(tau)`` (Joffrain
+    et al., 2006) from `_tri_inv`; a zero tau_i (H_i = I) gives a zero column
+    of T. Blocks, rather than one n-wide T, keep IRS's errors at the level
     LAPACK's complete Q gives; one n-wide T raised them measurably. A
-    non-finite ``v`` (a stack scaled into the subnormal range) gives a
-    non-finite result without numpy warnings; its callers check for that.
+    non-finite ``v`` or ``tau`` (a stack scaled near underflow or overflow)
+    gives a non-finite result without numpy warnings or exceptions; its
+    callers check for that.
     """
     n = v.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
         for s in reversed(range(0, n, _BLOCK)):
-            vb = v[s:, s:s + _BLOCK]
-            t = _wy_factor(vb, tau[s:s + _BLOCK])
-            x[s:] -= vb @ (t @ (vb.conj().T @ x[s:]))
+            vb, tb = v[s:, s:s + _BLOCK], tau[s:s + _BLOCK]
+            vh = vb.conj().T
+            unit = np.eye(len(tb), dtype=v.dtype) + tb[:, None] * np.triu(vh @ vb, 1)
+            try:
+                t = _tri_inv(unit) * tb[None, :]
+            except np.linalg.LinAlgError:  # only a non-finite block, never a zero pivot
+                t = np.full_like(unit, np.nan)
+            x[s:] -= vb @ (t @ (vh @ x[s:]))
     return x
-
-
-def _wy_factor(v, tau):
-    """Upper-triangular T with H_1 ... H_k = I - V T V^H (LAPACK ``?larft``).
-
-    The forward columnwise recurrence: T[i, i] = tau_i and
-    T[:i, i] = -tau_i T[:i, :i] (V[:, :i]^H v_i). A zero tau_i, which LAPACK
-    returns for a column already in triangular form (H_i = I), gives a zero
-    column.
-    """
-    k = len(tau)
-    gram = v.conj().T @ v
-    t = np.zeros((k, k), dtype=v.dtype)
-    for i in range(k):
-        t[:i, i] = -tau[i] * (t[:i, :i] @ gram[:i, i])
-        t[i, i] = tau[i]
-    return t
 
 
 def _singular_values(a):
@@ -371,8 +362,9 @@ def _tri_inv(r):
     stable building block of Demmel, Dumitriu and Holtz (2007). Smaller
     blocks go to ``np.linalg.solve``, whose LU of a triangle is exact (L = I),
     so that is back substitution. Raises ``np.linalg.LinAlgError`` when a
-    diagonal entry is exactly zero. Not tallied: it serves diagnostics, not
-    the algorithm's cost model.
+    diagonal entry is exactly zero, and for some non-finite ``r``. Not
+    tallied: it serves the rank screen (`_rank_verdict`) and the compact-WY
+    factors of `_apply_reflectors`, which are part of the one tallied QR.
     """
     n = r.shape[0]
     if n <= _BLOCK:

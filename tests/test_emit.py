@@ -65,6 +65,8 @@ def test_csv_sentinels_serialize_empty(tmp_path):
     (2, lambda ln: ln.rsplit(",", 1)[0]),          # a short row
     (3, lambda ln: ln + ",7"),                     # a long row
     (4, lambda ln: "other" + ln[len("x"):]),       # another experiment's row
+    pytest.param(2, lambda ln: "x,0,," + ln[len("x,0,1,"):], id="empty-p"),
+    pytest.param(3, lambda ln: "x,0,1,abc,,,,,", id="non-numeric-float"),
 ])
 def test_parse_csv_refuses_a_malformed_row_with_its_location(tmp_path, line, edit):
     path = tmp_path / "bad.csv"
@@ -73,6 +75,18 @@ def test_parse_csv_refuses_a_malformed_row_with_its_location(tmp_path, line, edi
     lines[line - 1] = edit(lines[line - 1])
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=f"^{path}:{line}: "):
+        parse_csv(path)
+
+
+@pytest.mark.parametrize("row, column", [
+    ("x,0,,1,,,,,", "p"),
+    ("x,,1,abc,,,,,", "trial"),
+    ("x,0,1,abc,,,,,", "err_irs"),
+])
+def test_parse_csv_names_the_column_of_a_malformed_cell(tmp_path, row, column):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"{CSV_HEADER}\n{row}\n")
+    with pytest.raises(ValueError, match=f"^{path}:2: column '{column}' "):
         parse_csv(path)
 
 

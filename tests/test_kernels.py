@@ -169,6 +169,12 @@ def _degenerate_tall_inputs():
     yield "identity over zero", np.eye(70, 40, dtype=complex), True
     yield "rank one", np.outer(g[:, 0], g[0].conj()), False
     yield "one column", g[:, :1], False
+    # the first reflector leaves column 1 = 2 e_1 triangular, so tau[1] alone
+    # is zero: a zero row of the closed-form T beside nonzero couplings
+    mixed = g.copy()
+    mixed[1, 0] = 0
+    mixed[:, 1] = 2 * np.eye(70)[:, 1]
+    yield "mixed tau", mixed, False
 
 
 @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
@@ -185,6 +191,19 @@ def test_full_qr_tall_degenerate_inputs(dtype):
         assert np.linalg.norm(qr.Q.conj().T @ qr.Q - np.eye(m), 2) <= 50 * m * u, label
         bound = 50 * n * u * max(np.linalg.norm(a, 2), 1e-300)
         assert np.linalg.norm(qr.Q @ qr.R - a, 2) <= bound, label
+
+
+@pytest.mark.parametrize("m, n", [(16, 8), (70, 40)])
+def test_full_qr_non_finite_reflectors_give_non_finite_q(m, n):
+    # near overflow LAPACK's tau comes out non-finite; forming Q then gives
+    # non-finite columns for its callers to check, never a numpy exception
+    # (LinAlgError at (16, 8)) or warning
+    a = ginibre(m, rng_for(0), m=n)
+    a *= 1e308 / np.abs(a).max()
+    assert not np.isfinite(np.linalg.qr(a, mode="raw")[1]).all()
+    qr = kernels.full_qr(a)
+    assert not np.isfinite(qr.complement).all()
+    assert not np.isfinite(qr.Q).all()
 
 
 @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
