@@ -51,7 +51,7 @@ _QUAD_POINTS = 512
 _QUAD_REL_TOL = 1e-6
 _QUAD_MAX_DOUBLINGS = 8
 
-#: matrix entries `_shifted_sigma_n` forms at once, which bounds its memory
+#: matrix entries `_shifted` forms at once, which bounds its memory
 _BATCH_ENTRIES = 2 ** 18
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -75,22 +75,22 @@ def _roots_of_minus_one(p):
     return (2.0 * j - 1.0) * np.pi / m
 
 
-def _shifted_sigma_n(a, b, thetas):
-    """sigma_n(-A + e^{i theta} B) for each theta.
+def _shifted(a, b, thetas):
+    """Yield ``(s, batch)``: the pencils -A + e^{i theta} B for thetas[s:s + len(batch)].
 
-    The shifted pencils are formed and factored a batch at a time, each
-    batch at most `_BATCH_ENTRIES` entries (or one pencil), so memory stays
-    bounded while the 2^p thetas of `sigma_min_mp` grow; time still grows
-    as 2^p. LAPACK factors each pencil on its own, so the values do not
-    depend on the batch size.
+    Each batch holds at most `_BATCH_ENTRIES` entries (or one pencil), so
+    memory stays bounded while the 2^p thetas of `sigma_min_mp` grow; time
+    still grows as 2^p. LAPACK factors each pencil of a batch on its own.
     """
     shifts = np.exp(1j * np.asarray(thetas, dtype=np.float64)).astype(a.dtype)
     step = max(1, _BATCH_ENTRIES // a.size)
-    sigma_n = []
     for s in range(0, shifts.size, step):
-        pencils = -a[None, :, :] + shifts[s:s + step, None, None] * b[None, :, :]
-        sigma_n.append(kernels._singular_values(pencils)[:, -1])
-    return np.concatenate(sigma_n)
+        yield s, -a[None, :, :] + shifts[s:s + step, None, None] * b[None, :, :]
+
+
+def _shifted_sigma_n(a, b, thetas):
+    """sigma_n(-A + e^{i theta} B) for each theta, whatever the batch size."""
+    return np.concatenate([kernels._singular_values(f)[:, -1] for _, f in _shifted(a, b, thetas)])
 
 
 def build_mp_dense(a, b, p):
@@ -197,38 +197,38 @@ def omega_malyshev(a, b):
 
     by a trapezoidal rule on the periodic integrand, starting from
     `_QUAD_POINTS` nodes and doubling until two successive estimates agree
-    to `_QUAD_REL_TOL`. A node where `kernels._rank_deficient` flags
-    sigma_n(B - e^{i phi} A) against ``||(A; B)||_2`` raises
-    `NearSingularNodeError` naming phi: the pencil has an eigenvalue too
-    close to the unit circle for the integral to be trusted.
+    to `_QUAD_REL_TOL`; each doubling adds only its new midpoints to a
+    running sum, so every node is factored once. Node phi is the `_shifted`
+    pencil at theta = -phi: B - e^{i phi} A = e^{i phi} (-A + e^{-i phi} B),
+    and the unit factor cancels in the integrand. The first node, in phi
+    order, whose sigma_n `kernels._rank_deficient` flags against
+    ``||(A; B)||_2`` raises `NearSingularNodeError` naming phi: the pencil has
+    an eigenvalue too close to the unit circle for the integral to be trusted.
     """
     a, b, _ = _validated(a, b)
     n = a.shape[0]
-    h = a @ a.conj().T + b @ b.conj().T
+    h = (a @ a.conj().T + b @ b.conj().T).astype(np.complex128)
     stack_norm = kernels.spectral_norm(np.vstack([a, b]))
 
-    def estimate(num_nodes):
-        phis = np.linspace(0.0, 2.0 * np.pi, num_nodes, endpoint=False)
-        acc = np.zeros((n, n), dtype=np.complex128)
-        for phi in phis:
-            f = b - np.exp(1j * phi).astype(a.dtype) * a
-            smallest = kernels._singular_values(f)[-1]
-            if kernels._rank_deficient(smallest, stack_norm, n, unit_roundoff(a)):
-                raise NearSingularNodeError(
-                    "omega_malyshev: pencil is numerically singular on the unit circle",
-                    smallest,
-                    phi,
-                )
-            t = np.linalg.solve(f, h.astype(np.complex128))
-            integrand = np.linalg.solve(f, t.conj().T).conj().T
-            acc += integrand
-        return kernels.spectral_norm((np.pi / num_nodes) * acc)
+    def node_sum(phis):
+        total = np.zeros((n, n), dtype=np.complex128)
+        for s, f in _shifted(a, b, -phis):
+            for phi, smallest in zip(phis[s:], kernels._singular_values(f)[:, -1]):
+                if kernels._rank_deficient(smallest, stack_norm, n, unit_roundoff(a)):
+                    raise NearSingularNodeError("omega_malyshev: pencil is numerically "
+                                                "singular on the unit circle", smallest, phi)
+            f = f.astype(np.complex128)
+            t = np.linalg.solve(f, h).conj().swapaxes(1, 2)
+            total += np.linalg.solve(f, t).sum(axis=0).conj().T
+        return total
 
     nodes = _QUAD_POINTS
-    prev = estimate(nodes)
+    acc = node_sum(np.linspace(0.0, 2.0 * np.pi, nodes, endpoint=False))
+    prev = kernels.spectral_norm((np.pi / nodes) * acc)
     for _ in range(_QUAD_MAX_DOUBLINGS):
+        acc += node_sum(np.linspace(0.0, 2.0 * np.pi, 2 * nodes, endpoint=False)[1::2])
         nodes *= 2
-        cur = estimate(nodes)
+        cur = kernels.spectral_norm((np.pi / nodes) * acc)
         if abs(cur - prev) <= _QUAD_REL_TOL * abs(cur):
             return cur
         prev = cur

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pencilpow import conditioning, kernels
-from pencilpow.errors import DomainError, NearSingularNodeError, ShapeError
+from pencilpow.errors import ConvergenceError, DomainError, NearSingularNodeError, ShapeError
 from pencilpow.harness.generators import gen_ginibre, gen_haar
 
 from conftest import rng_for
@@ -186,9 +186,57 @@ def test_omega_scalar_cases():
 
 
 def test_omega_near_singular_node_error():
-    with pytest.raises(NearSingularNodeError) as exc:
-        conditioning.omega_malyshev(scalar(1.0), scalar(1.0))
-    assert exc.value.phi == pytest.approx(0.0)
+    cases = [
+        (scalar(1.0), scalar(1.0), 0.0),
+        # singular only at phi = pi/2, so naming -pi/2 or 3 pi/2 maps phi wrongly
+        (scalar(1.0), scalar(1j), np.pi / 2),
+        # singular at pi/2 and at pi: the first node in phi order is named
+        (np.eye(2), np.diag([1j, -1.0]), np.pi / 2),
+    ]
+    for a, b, phi in cases:
+        for dtype in (np.complex64, np.complex128):
+            with pytest.raises(NearSingularNodeError) as exc:
+                conditioning.omega_malyshev(a.astype(dtype), b.astype(dtype))
+            assert exc.value.phi == pytest.approx(phi)
+
+
+def test_omega_factors_each_node_once(monkeypatch):
+    # the integrand of (I, 0) is constant, so the rule settles at its first
+    # doubling: 512 nodes, then only their 512 midpoints
+    matrices = []
+    original = kernels._singular_values
+
+    def counting(x):
+        matrices.append(1 if x.ndim == 2 else x.shape[0])
+        return original(x)
+
+    monkeypatch.setattr(kernels, "_singular_values", counting)
+    conditioning.omega_malyshev(np.eye(1), np.zeros((1, 1)))
+    assert sum(matrices) == 1024
+
+
+def test_omega_convergence_error_after_the_last_doubling():
+    # an eigenvalue 1e-4 outside the unit circle needs more nodes than 8 doublings give
+    with pytest.raises(ConvergenceError, match="within 131072 nodes"):
+        conditioning.omega_malyshev(scalar(1.0), scalar(1.0001))
+
+
+def test_omega_memory_is_bounded(monkeypatch):
+    # the nodes of order 32 are factored and solved in batches of _BATCH_ENTRIES entries
+    rng = rng_for(50)
+    a, b = gen_ginibre(32, rng), gen_ginibre(32, rng)
+    tracemalloc.start()
+    try:
+        conditioning.omega_malyshev(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2 ** 20
+    # the running sum is grouped by batch, so other batches agree to roundoff
+    a, b = gen_ginibre(4, rng), gen_ginibre(4, rng)
+    whole = conditioning.omega_malyshev(a, b)
+    monkeypatch.setattr(conditioning, "_BATCH_ENTRIES", 37 * a.size)
+    assert conditioning.omega_malyshev(a, b) == pytest.approx(whole, rel=1e-13)
 
 
 def test_omega_tail_bound():
