@@ -167,6 +167,18 @@ def _measured_runs(a0, b0, oracle, p_max):
         yield run, err_irs, err_es
 
 
+def _row(trial, run, kappa_in, **measured):
+    """The `TrialRecord` of IRS run ``run`` in ``trial``.
+
+    p is ``run.p``, and kappa_2(A_p) and sigma_n(A_p) come from ``run.a_p``;
+    ``measured`` passes ``err_irs``, ``err_es`` and ``s_selected`` through,
+    so a column a runner does not measure keeps `TrialRecord`'s sentinel.
+    """
+    kappa_ap, sigma_n_ap = _kappa_sigma(run.a_p)
+    return TrialRecord(trial=trial, p=run.p, kappa_a_input=kappa_in, kappa_ap=kappa_ap,
+                       sigma_n_ap=sigma_n_ap, **measured)
+
+
 def _draw_square_pencil(config, trial):
     """(A, B) at the configured precision, the oracle and d of one squaring trial.
 
@@ -207,22 +219,11 @@ def run_square_experiment(config):
             d_power = d_power * d_power  # the oracle's own squarings, so finite
             # V is unitary: ||V D^(2^p) V^H||_2 = max_i |d_i^(2^p)|
             target_norm = np.abs(d_power).max()
-            err_irs = float(err_irs / target_norm)
-            err_es = float(err_es / target_norm)
-            kappa_ap, sigma_n_ap = _kappa_sigma(run.a_p)
-            records.append(
-                TrialRecord(
-                    trial=trial,
-                    p=run.p,
-                    err_irs=err_irs,
-                    err_es=err_es,
-                    kappa_a_input=kappa_in,
-                    kappa_ap=kappa_ap,
-                    sigma_n_ap=sigma_n_ap,
-                )
-            )
+            row = _row(trial, run, kappa_in, err_irs=float(err_irs / target_norm),
+                       err_es=float(err_es / target_norm))
+            records.append(row)
             # NaN compares false, so a sentinel never counts as exploded
-            if err_irs > EXPLOSION_CUTOFF or err_es > EXPLOSION_CUTOFF:
+            if row.err_irs > EXPLOSION_CUTOFF or row.err_es > EXPLOSION_CUTOFF:
                 break
     return records
 
@@ -233,17 +234,8 @@ def run_condition_evolution(config):
     for trial in range(config.trials):
         a0, b0, _, _ = _draw_square_pencil(config, trial)
         kappa_in, _ = _kappa_sigma(a0)
-        for run in islice(irs_iter(a0, b0), 1, config.p_max + 1):
-            kappa_ap, sigma_n_ap = _kappa_sigma(run.a_p)
-            records.append(
-                TrialRecord(
-                    trial=trial,
-                    p=run.p,
-                    kappa_a_input=kappa_in,
-                    kappa_ap=kappa_ap,
-                    sigma_n_ap=sigma_n_ap,
-                )
-            )
+        records += [_row(trial, run, kappa_in)
+                    for run in islice(irs_iter(a0, b0), 1, config.p_max + 1)]
     return records
 
 
@@ -273,21 +265,9 @@ def run_expm_experiment(config):
         kappa_v, _ = _kappa_sigma(v)
         q, p, s = _final_pencil(m)
         err_es = _rel_err(lambda: explicit_squaring(q, p, s), reference, ref_norm)
-        run = irs(q, p, s)
+        run = irs(q, p, s)  # s steps, so run.p == s
         err_irs = _rel_err(lambda: implicit_to_explicit(run), reference, ref_norm)
-        kappa_as, sigma_n_as = _kappa_sigma(run.a_p)
-        records.append(
-            TrialRecord(
-                trial=trial,
-                p=s,
-                err_irs=err_irs,
-                err_es=err_es,
-                kappa_a_input=kappa_v,
-                kappa_ap=kappa_as,
-                sigma_n_ap=sigma_n_as,
-                s_selected=s,
-            )
-        )
+        records.append(_row(trial, run, kappa_v, err_irs=err_irs, err_es=err_es, s_selected=s))
     return records
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .. import kernels
 from ..errors import DomainError, NonUnitaryError, ShapeError
-from ..precision import _count
+from ..precision import _count, _numeric, as_matrix
 from ..squaring import Pencil
 
 __all__ = [
@@ -104,11 +104,12 @@ def build_test_pencil(a, v, d):
     ``||V^H V - I||_F <= 1e-10`` bounds the 2-norm, so a unitary ``v`` such
     as `gen_haar`'s passes without an eigenvalue solve, and only a ``v`` the
     screen rejects pays for the exact 2-norm. Raises `ShapeError` unless
-    ``a`` and ``v`` are both n-by-n for the n entries of ``d``.
+    ``a`` and ``v`` are both n-by-n for the n entries of ``d``, and
+    `DomainError` when an argument is not numeric or not finite.
     """
-    a = np.asarray(a)
-    v = np.asarray(v)
-    d = np.asarray(d, dtype=np.complex128).ravel()
+    a = as_matrix(a, "A")
+    v = as_matrix(v, "V")
+    d = _numeric(d, "d", np.complex128).ravel()
     if not a.shape == v.shape == (d.size, d.size):
         raise ShapeError(f"build_test_pencil requires n-by-n A and V for the n = {d.size} "
                          f"entries of d, got {a.shape} and {v.shape}")

@@ -51,19 +51,32 @@ def as_matrix(a, name="matrix"):
 
     Real float32/float64 input is widened to the matching complex dtype;
     anything else must already be complex64/complex128. Non-finite entries
-    are rejected, honoring the construction invariant of the carrier type.
+    are rejected, honoring the construction invariant of the carrier type,
+    and so is input that is ragged or not numeric (`_numeric`).
     """
-    a = np.asarray(a)
+    a = _numeric(a, name)
     if a.dtype in _REAL_TO_COMPLEX:
         a = a.astype(_REAL_TO_COMPLEX[a.dtype])
     elif a.dtype not in UNIT_ROUNDOFF:
         # integer / object / float16 inputs: promote through float64
-        a = np.asarray(a, dtype=np.complex128)
+        a = _numeric(a, name, np.complex128)
     if a.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise DomainError(f"{name} contains non-finite entries")
     return a
+
+
+def _numeric(a, name, dtype=None):
+    """``np.asarray(a, dtype)``, or `DomainError` naming ``name`` when numpy cannot convert ``a``.
+
+    The one wrapper of numpy's conversion failures: a ragged nesting, or an
+    entry (a string, an object) that is not a number of ``dtype``.
+    """
+    try:
+        return np.asarray(a, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{name} is not a numeric array: {exc}") from None
 
 
 def _finite(z, name, what):

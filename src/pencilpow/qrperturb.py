@@ -47,9 +47,9 @@ def sun_alpha(eps):
     Below 1e-8 the direct formula cancels, so the two-term series
     1 + eps/2 is returned (relative error < 1e-16 there).
     """
+    if not isinstance(eps, numbers.Real) or not 0.0 < eps < 1.0:  # numpy floats pass
+        raise DomainError(f"sun_alpha requires a real 0 < eps < 1, got {eps!r}")
     eps = float(eps)
-    if not 0.0 < eps < 1.0:
-        raise DomainError(f"sun_alpha requires 0 < eps < 1, got {eps}")
     if eps < 1e-8:
         return 1.0 + eps / 2.0
     return math.log1p(eps / (1.0 - eps)) / eps

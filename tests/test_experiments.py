@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -113,6 +114,27 @@ def test_condition_evolution_records():
         assert math.isnan(r.err_irs) and math.isnan(r.err_es)
         assert r.kappa_ap >= 1.0 and r.sigma_n_ap > 0
         assert r.kappa_a_input >= 1.0
+
+
+@pytest.mark.parametrize("spectrum, precision", [
+    ("disk", "binary64"), ("annulus", "binary32"), ("circle", "binary64")])
+def test_condition_evolution_matches_square_experiment(spectrum, precision):
+    # both runners draw the same pencil per trial and build each row from its
+    # IRS run, so their kappa columns agree exactly at every (trial, p) both
+    # record; the square runner may stop earlier (explosion or oracle overflow)
+    config = ex.ExperimentConfig(n=12, trials=3, p_max=14, spectrum=spectrum,
+                                 precision=precision, seed=9)
+
+    def kappas(r):
+        return r.kappa_a_input, r.kappa_ap, r.sigma_n_ap
+
+    evolution = {(r.trial, r.p): kappas(r) for r in ex.run_condition_evolution(
+        dataclasses.replace(config, experiment="condition_evolution"))}
+    square = ex.run_square_experiment(config)
+    assert len(evolution) == config.trials * config.p_max
+    assert {r.trial for r in square} == set(range(config.trials))
+    for r in square:
+        assert kappas(r) == evolution[(r.trial, r.p)]
 
 
 def test_expm_records():

@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 
 import pencilpow
-from pencilpow import kernels, squaring
+from pencilpow import expm, kernels, qrperturb, squaring
 from pencilpow.errors import (
     DomainError,
     NumericallySingularError,
+    PencilPowError,
     PrecisionMismatchError,
     ShapeError,
 )
+from pencilpow.harness.generators import build_test_pencil
 from pencilpow.precision import unit_roundoff
 
 from conftest import ginibre, rel_err, rng_for
@@ -610,3 +612,21 @@ def test_kernel_counters_inner_scope_opened_before_any_call():
         kernels.matmul(a, a)
     assert outer == kernels.KernelCounts(matmul=1)
     assert inner == kernels.KernelCounts()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: kernels.matmul([["a"]], [[1]]),
+    lambda: expm.expm([["1x"]]),
+    lambda: squaring.irs([[1, 2], [3]], np.eye(2), 1),
+    lambda: kernels.invert(np.array([[object()]])),
+    lambda: build_test_pencil([["q"]], np.eye(1), [1]),
+    lambda: build_test_pencil(np.eye(1), np.eye(1), ["q"]),
+    lambda: qrperturb.sun_alpha("x"),
+    lambda: qrperturb.sun_alpha(None),
+], ids=["matmul-str", "expm-str", "irs-ragged", "invert-object", "pencil-str-a",
+        "pencil-str-d", "sun_alpha-str", "sun_alpha-none"])
+def test_non_numeric_input_is_a_structured_error(call):
+    # ragged or non-numeric input is refused at the matrix boundary, never
+    # as numpy's raw ValueError / TypeError / UFuncTypeError
+    with pytest.raises(PencilPowError):
+        call()
