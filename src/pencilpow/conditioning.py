@@ -271,11 +271,13 @@ def condition_chain_check(a, b, p):
     """Compute sigma_min(M_p), kappa_irs, d, omega and check the chain.
 
     Link failures are reported as data in the returned `ConditionReport`,
-    not raised. The declared slack combines roundoff with the grid
-    resolution of the distance estimate (d is only estimated from above, so
-    the middle link uses the grid slack; see `distance_ill_posed`). The
-    links are checked on the scaled pencil; sigma, d and tol are then
-    scaled back.
+    but an omega that does not settle raises `ConvergenceError`: an
+    eigenvalue about 1e-4 from the unit circle needs more nodes than the
+    doublings allow (``condition_chain_check([[1]], [[1.0001]], 2)``). The
+    declared slack combines roundoff with the grid resolution of the
+    distance estimate (d is only estimated from above, so the middle link
+    uses the grid slack; see `distance_ill_posed`). The links are checked
+    on the scaled pencil; sigma, d and tol are then scaled back.
     """
     p = _count(p, 1, "condition_chain_check")
     a, b, e = _validated(a, b)

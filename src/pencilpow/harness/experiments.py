@@ -22,7 +22,7 @@ from ..kernels import _kappa_sigma
 from ..precision import dtype_for, unit_roundoff
 from ..squaring import explicit_iter, explicit_squaring, implicit_to_explicit, irs, irs_iter
 from .generators import (
-    SPECTRUM_REGIONS,
+    _check_sampling,
     build_test_pencil,
     gen_ginibre,
     gen_haar,
@@ -77,26 +77,15 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise DomainError(f"unknown experiment {self.experiment!r}; expected {EXPERIMENTS}")
-        for name in ("n", "trials", "p_max", "seed"):
+        for name in ("n", "trials", "p_max"):
             if not isinstance(getattr(self, name), numbers.Integral):  # numpy integers pass
                 raise DomainError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        for name in ("annulus_r_lo", "annulus_r_hi", "delta"):
-            if not isinstance(getattr(self, name), numbers.Real):
-                raise DomainError(f"{name} must be a real number, got {getattr(self, name)!r}")
         if self.trials < 1 or self.n < 2 or self.p_max < 1:
             raise DomainError("config requires trials >= 1, n >= 2, p_max >= 1")
-        if self.seed < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed}")
         if self.conditioning not in CONDITIONINGS:
             raise DomainError(
                 f"unknown conditioning {self.conditioning!r}; expected {CONDITIONINGS}")
-        if self.spectrum not in SPECTRUM_REGIONS:
-            raise DomainError(
-                f"unknown spectrum region {self.spectrum!r}; expected {SPECTRUM_REGIONS}")
-        if not 0.0 < self.annulus_r_lo < self.annulus_r_hi < math.inf:
-            raise DomainError("annulus bounds must satisfy 0 < r_lo < r_hi < inf")
-        if not 0.0 < self.delta <= 1.0:
-            raise DomainError(f"delta must be in (0, 1], got {self.delta}")
+        _check_sampling(self.seed, self.spectrum, self.annulus_r_lo, self.annulus_r_hi, self.delta)
         dtype_for(self.precision)  # validates the name
         if not self.output_dir:
             raise DomainError("output_dir must be a non-empty path")

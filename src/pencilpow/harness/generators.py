@@ -27,6 +27,21 @@ __all__ = [
 SPECTRUM_REGIONS = ("circle", "disk", "annulus")
 
 
+def _check_sampling(seed=0, region="circle", r_lo=0.5, r_hi=1.0, delta=1.0):
+    """The one statement of each sampling rule, type before range; every default passes."""
+    if not isinstance(seed, numbers.Integral):  # numpy integers pass
+        raise DomainError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    if region not in SPECTRUM_REGIONS:
+        raise DomainError(f"unknown spectrum region {region!r}; expected {SPECTRUM_REGIONS}")
+    if not (isinstance(r_lo, numbers.Real) and isinstance(r_hi, numbers.Real)
+            and 0.0 < r_lo < r_hi < np.inf):
+        raise DomainError("annulus bounds must satisfy 0 < r_lo < r_hi < inf")
+    if not (isinstance(delta, numbers.Real) and 0.0 < delta <= 1.0):
+        raise DomainError(f"delta must be in (0, 1], got {delta!r}")
+
+
 def rng_from_seed(seed):
     """Philox generator for an integer seed >= 0; pass through existing generators.
 
@@ -34,8 +49,7 @@ def rng_from_seed(seed):
     """
     if isinstance(seed, np.random.Generator):
         return seed
-    if not isinstance(seed, numbers.Integral) or seed < 0:
-        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
+    _check_sampling(seed=seed)
     return np.random.Generator(np.random.Philox(int(seed)))
 
 
@@ -64,8 +78,7 @@ def make_ill_conditioned(a, delta):
     singular vectors, leaving every other singular value untouched.
     delta = 1 returns ``a`` unchanged. Raises `ShapeError` for an empty ``a``.
     """
-    if not 0.0 < delta <= 1.0:
-        raise DomainError(f"make_ill_conditioned requires delta in (0, 1], got {delta}")
+    _check_sampling(delta=delta)
     u, s, vh = kernels.svd(a)
     if s.size == 0:
         raise ShapeError(f"make_ill_conditioned requires a nonempty matrix, got {np.shape(a)}")
@@ -76,10 +89,9 @@ def sample_spectrum(region, n, seed, r_lo=0.95, r_hi=1.05):
     """Diagonal eigenvalue samples from a region of the complex plane.
 
     circle: unit modulus, uniform phase. disk: area-uniform in the unit
-    disk. annulus: modulus uniform in [r_lo, r_hi], uniform phase.
+    disk. annulus: modulus uniform in [r_lo, r_hi], uniform phase (bounds checked in any region).
     """
-    if region not in SPECTRUM_REGIONS:
-        raise DomainError(f"unknown spectrum region {region!r}; expected {SPECTRUM_REGIONS}")
+    _check_sampling(region=region, r_lo=r_lo, r_hi=r_hi)
     n = _count(n, 0, "sample_spectrum", "n")
     rng = rng_from_seed(seed)
     phase = np.exp(2j * np.pi * rng.random(n))
@@ -87,8 +99,6 @@ def sample_spectrum(region, n, seed, r_lo=0.95, r_hi=1.05):
         return phase
     if region == "disk":
         return np.sqrt(rng.random(n)) * phase
-    if not 0.0 < r_lo < r_hi < np.inf:
-        raise DomainError(f"annulus requires 0 < r_lo < r_hi < inf, got [{r_lo}, {r_hi}]")
     return (r_lo + (r_hi - r_lo) * rng.random(n)) * phase
 
 

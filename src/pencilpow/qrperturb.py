@@ -40,6 +40,8 @@ __all__ = [
     "qr_perturb_certificate",
 ]
 
+_LEBESGUE_CHUNK = 2 ** 16  # terms of Fejer's sum per numpy call: 0.5 MiB per temporary
+
 
 def sun_alpha(eps):
     """alpha(eps) = (1/eps) ln(1/(1 - eps)) on (0, 1).
@@ -60,13 +62,15 @@ def lebesgue_constant(k):
 
     L_k = 1/(2k+1) + (2/pi) sum_{j=1..k} tan(pi j/(2k+1)) / j, with each
     tangent written as the cotangent of the complementary angle
-    pi (2k+1-2j) / (4k+2), which stays accurate as j nears k. ``k`` must be
-    an integer >= 0; L_0 = 1 exactly.
+    pi (2k+1-2j) / (4k+2), which stays accurate as j nears k, summed in
+    bounded chunks. ``k`` must be an integer >= 0; L_0 = 1 exactly.
     """
     if not isinstance(k, numbers.Integral) or k < 0:  # numpy integers pass
         raise DomainError(f"lebesgue_constant requires an integer k >= 0, got {k!r}")
-    j = np.arange(1, k + 1)
-    cot_sum = np.sum(1.0 / (j * np.tan(np.pi * (2 * k + 1 - 2 * j) / (4 * k + 2))))
+    cot_sum = 0.0
+    for start in range(1, k + 1, _LEBESGUE_CHUNK):
+        j = np.arange(start, min(start + _LEBESGUE_CHUNK, k + 1))
+        cot_sum += np.sum(1.0 / (j * np.tan(np.pi * (2 * k + 1 - 2 * j) / (4 * k + 2))))
     return 1.0 / (2 * k + 1) + 2.0 / np.pi * float(cot_sum)
 
 

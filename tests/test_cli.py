@@ -61,6 +61,16 @@ def test_config_file_rejects_bad_value_with_location(tmp_path, capsys):
     assert capsys.readouterr().err == f"pencilpow: error: {cfg}:2: n expects int, got '8.0'\n"
 
 
+def test_config_file_line_without_equals_is_refused_with_location(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("# comment\nn 8\n")
+    with pytest.raises(SystemExit) as info:
+        cli.main(["run", "--config", str(cfg)])
+    assert info.value.code == 2
+    assert capsys.readouterr().err == (
+        f"pencilpow: error: {cfg}:2: expected 'key = value', got 'n 8\\n'\n")
+
+
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
 def test_every_experiment_is_a_run_choice_that_dispatches(tmp_path, experiment):
     # the config's vocabulary is exactly what `run --experiment` offers and run_experiment runs

@@ -90,6 +90,13 @@ def test_parse_csv_names_the_column_of_a_malformed_cell(tmp_path, row, column):
         parse_csv(path)
 
 
+def test_parse_csv_refuses_a_bad_header(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("experiment,trial\nx,0\n")
+    with pytest.raises(ValueError, match=f"^{path}: missing or unexpected header"):
+        parse_csv(path)
+
+
 def test_bound_csv_cells(tmp_path):
     # NaN (a failed step) is the only empty field; +-inf are values; the
     # ratios keep 6 significant digits
@@ -215,3 +222,10 @@ def test_manifest_contents(tmp_path):
     assert "seed = 99" in text
     assert "pencilpow version" in text
     assert "note = hello" in text
+
+
+def test_svg_of_no_records_is_refused(tmp_path):
+    path = tmp_path / "none.svg"
+    with pytest.raises(ValueError, match="at least one record"):
+        emit_svg([], path)
+    assert not path.exists()

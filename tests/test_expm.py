@@ -18,6 +18,11 @@ def test_select_scaling_zero_matrix():
     assert expmod.select_scaling(np.zeros((3, 3))) == 0
 
 
+def test_select_scaling_empty_matrix():
+    # the empty matrix has no entry to scale by; its 1-norm is 0
+    assert expmod.select_scaling(np.zeros((0, 0))) == 0
+
+
 def test_select_scaling_under_threshold():
     assert expmod.select_scaling(np.diag([4.0, 1.0]).astype(complex)) == 0
 

@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.stats
 
-from pencilpow import kernels
+from pencilpow import kernels, qrperturb
 from pencilpow.errors import DomainError, NonUnitaryError, ShapeError
 from pencilpow.harness import generators as gen
+from pencilpow.harness.experiments import ExperimentConfig
 
 from conftest import rel_err, rng_for
 
@@ -127,6 +130,33 @@ def test_spectrum_validation():
         gen.sample_spectrum("annulus", 4, 0, r_lo=1.1, r_hi=1.0)
     with pytest.raises(DomainError):
         gen.sample_spectrum("annulus", 4, 0, r_lo=0.5, r_hi=np.inf)
+
+
+# --- scalar settings ------------------------------------------------------------------
+
+SCALAR_SETTINGS = {
+    "rng_from_seed": gen.rng_from_seed,
+    "spectrum-region": lambda v: gen.sample_spectrum(v, 3, 0),
+    "spectrum-r_lo": lambda v: gen.sample_spectrum("annulus", 3, 0, r_lo=v),
+    "spectrum-r_hi": lambda v: gen.sample_spectrum("annulus", 3, 0, r_hi=v),
+    "ill-delta": lambda v: gen.make_ill_conditioned(np.eye(2), v),
+    "config-seed": lambda v: ExperimentConfig(seed=v),
+    "config-spectrum": lambda v: ExperimentConfig(spectrum=v),
+    "config-r_lo": lambda v: ExperimentConfig(annulus_r_lo=v),
+    "config-r_hi": lambda v: ExperimentConfig(annulus_r_hi=v),
+    "config-delta": lambda v: ExperimentConfig(delta=v),
+    "sun_alpha": qrperturb.sun_alpha,
+    "lebesgue_constant": qrperturb.lebesgue_constant,
+}
+
+
+@pytest.mark.parametrize("value", ["x", 1j, None, math.nan, math.inf],
+                         ids=["str", "complex", "none", "nan", "inf"])
+@pytest.mark.parametrize("setting", SCALAR_SETTINGS)
+def test_non_real_or_non_finite_setting_is_a_domain_error(setting, value):
+    # a setting's type is checked before its range, so no raw TypeError escapes
+    with pytest.raises(DomainError):
+        SCALAR_SETTINGS[setting](value)
 
 
 # --- build_test_pencil ---------------------------------------------------------------

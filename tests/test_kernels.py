@@ -9,6 +9,7 @@ import pytest
 import pencilpow
 from pencilpow import expm, kernels, qrperturb, squaring
 from pencilpow.errors import (
+    ConvergenceError,
     DomainError,
     NumericallySingularError,
     PencilPowError,
@@ -16,7 +17,7 @@ from pencilpow.errors import (
     ShapeError,
 )
 from pencilpow.harness.generators import build_test_pencil
-from pencilpow.precision import unit_roundoff
+from pencilpow.precision import as_matrix, unit_roundoff
 
 from conftest import ginibre, rel_err, rng_for
 
@@ -630,3 +631,23 @@ def test_non_numeric_input_is_a_structured_error(call):
     # as numpy's raw ValueError / TypeError / UFuncTypeError
     with pytest.raises(PencilPowError):
         call()
+
+
+def test_as_matrix_refuses_a_3d_array():
+    with pytest.raises(ShapeError, match="x must be 2-D, got shape"):
+        as_matrix(np.zeros((2, 2, 2)), "x")
+
+
+@pytest.mark.parametrize("routine, call", [
+    ("svd", lambda a: kernels._singular_values(a)),
+    ("svd", lambda a: kernels.svd(a)),
+    ("eigvalsh", lambda a: kernels.spectral_norm(a)),
+], ids=["singular_values", "svd", "spectral_norm"])
+def test_lapack_non_convergence_is_a_convergence_error(monkeypatch, routine, call):
+    # LAPACK's non-convergence reaches the caller as ConvergenceError, not LinAlgError
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError(f"{routine} did not converge")
+
+    monkeypatch.setattr(np.linalg, routine, fail)
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        call(np.eye(3, dtype=complex))

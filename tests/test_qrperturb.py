@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,6 +79,18 @@ def test_lebesgue_domain():
         with pytest.raises(DomainError):
             qrperturb.lebesgue_constant(bad)
     assert qrperturb.lebesgue_constant(np.int64(5)) == qrperturb.lebesgue_constant(5)
+
+
+def test_lebesgue_memory_is_bounded_for_large_k():
+    # Fejer's sum runs in fixed chunks: no length-k array is formed
+    tracemalloc.start()
+    try:
+        value = qrperturb.lebesgue_constant(2 ** 22)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+    assert value > qrperturb.lebesgue_constant(2 ** 16)
 
 
 def test_lebesgue_against_mpmath():
@@ -189,6 +202,13 @@ def test_align_randomized_sweep():
         assert kernels.spectral_norm(w.conj().T @ w - np.eye(4)) <= 1e-12
 
 
+def test_align_rejects_differing_and_odd_sizes():
+    with pytest.raises(ShapeError, match="sizes differ"):
+        qrperturb.align_complement(np.eye(2), np.eye(4))
+    with pytest.raises(ShapeError, match="expects even size, got 3"):
+        qrperturb.align_complement(np.eye(3), np.eye(3))
+
+
 def test_align_rejects_non_unitary():
     with pytest.raises(NonUnitaryError) as exc:
         qrperturb.align_complement(2 * np.eye(4, dtype=complex), np.eye(4, dtype=complex))
@@ -240,6 +260,11 @@ def test_certificate_rank_deficient_error():
     a[0, 0] = 1.0
     with pytest.raises(NumericallySingularError):
         qrperturb.qr_perturb_certificate(a, np.zeros_like(a))
+
+
+def test_certificate_rejects_differing_shapes():
+    with pytest.raises(ShapeError, match="a and e differ in shape"):
+        qrperturb.qr_perturb_certificate(np.eye(3), np.eye(2))
 
 
 @pytest.mark.parametrize("shape", [(3, 0), (0, 0), (2, 3)])
