@@ -141,7 +141,7 @@ def kappa_irs(a, b, p):
 
 def _kappa(stack_norm, smin, a):
     """``stack_norm / smin``, or ``inf`` where `kernels._rank_deficient` flags smin."""
-    if kernels._rank_deficient(smin, stack_norm, a.shape[0], unit_roundoff(a)):
+    if kernels._rank_deficient(smin, stack_norm, a):
         return float("inf")
     return stack_norm / smin
 
@@ -213,10 +213,12 @@ def omega_malyshev(a, b):
     def node_sum(phis):
         total = np.zeros((n, n), dtype=np.complex128)
         for s, f in _shifted(a, b, -phis):
-            for phi, smallest in zip(phis[s:], kernels._singular_values(f)[:, -1]):
-                if kernels._rank_deficient(smallest, stack_norm, n, unit_roundoff(a)):
-                    raise NearSingularNodeError("omega_malyshev: pencil is numerically "
-                                                "singular on the unit circle", smallest, phi)
+            smallest = kernels._singular_values(f)[:, -1]
+            flagged = np.flatnonzero(kernels._rank_deficient(smallest, stack_norm, a))
+            if flagged.size:  # the first flagged node in phi order
+                k = flagged[0]
+                raise NearSingularNodeError("omega_malyshev: pencil is numerically singular "
+                                            "on the unit circle", smallest[k], phis[s + k])
             f = f.astype(np.complex128)
             t = np.linalg.solve(f, h).conj().swapaxes(1, 2)
             total += np.linalg.solve(f, t).sum(axis=0).conj().T

@@ -11,9 +11,11 @@ takes only the five settings the bound report reads, and writes
 the draw it echoes); `emit` formats every CSV cell. A refused setting, config
 line or unreadable config file, an ``--out`` that exists and is not a
 directory, and a ``run`` that measures no row, exit with code 2 and one
-``pencilpow: error: ...`` line before <out>/ is made. Both commands make
+``pencilpow: error: ...`` line before <out>/ is made; a flag value argparse
+rejects (``--experiment foo``, ``--n 8.5``) exits 2 before it too, with
+argparse's usage text and ``pencilpow run: error: ...``. Both commands make
 <out>/ after the computation; an `OSError` from making or writing into it
-takes the same exit.
+exits 2 with one ``pencilpow: error:`` line.
 """
 
 import argparse

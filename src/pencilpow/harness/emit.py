@@ -144,15 +144,15 @@ def emit_svg(records, path, title=""):
     stats = {f: _series_stats(records, f) for f in ("err_irs", "err_es")}
     if not any(stats.values()):
         stats = {"kappa_ap": _series_stats(records, "kappa_ap")}
-    series = [f for f in stats if stats[f]]
+    # each series' (p, low, mid, high): log10 of mean - std (floored at 0), mean, mean + std
+    rows = {
+        f: [(p, _log10_floor(max(mean - std, 0.0)), _log10_floor(mean), _log10_floor(mean + std))
+            for p, mean, std in pts]
+        for f, pts in stats.items() if pts
+    }
 
-    all_p = sorted({p for f in series for (p, _, _) in stats[f]})
-    all_logs = []
-    for f in series:
-        for p, mean, std in stats[f]:
-            all_logs.append(_log10_floor(max(mean - std, 0.0)))
-            all_logs.append(_log10_floor(mean + std))
-            all_logs.append(_log10_floor(mean))
+    all_p = sorted({row[0] for pts in rows.values() for row in pts})
+    all_logs = [v for pts in rows.values() for row in pts for v in row[1:]]
     lo, hi = (min(all_logs) - 0.5, max(all_logs) + 0.5) if all_logs else (-0.5, 0.5)
     p_lo, p_hi = (min(all_p), max(all_p)) if all_p else (0, 1)
     if p_hi == p_lo:
@@ -196,26 +196,23 @@ def emit_svg(records, path, title=""):
         f'transform="rotate(-90 14 {_H / 2:.0f})">log10 value</text>'
     )
 
-    for f in series:
+    for i, (f, pts) in enumerate(rows.items(), 1):
         label, color = _SERIES_STYLE[f]
-        pts = stats[f]
-        upper = [(p, _log10_floor(mean + std)) for p, mean, std in pts]
-        lower = [(p, _log10_floor(max(mean - std, 0.0))) for p, mean, std in pts]
         if len(pts) > 1:
             band = " ".join(
-                [f"{sx(p):.1f},{sy(v):.1f}" for p, v in upper]
-                + [f"{sx(p):.1f},{sy(v):.1f}" for p, v in reversed(lower)]
+                [f"{sx(p):.1f},{sy(high):.1f}" for p, _, _, high in pts]
+                + [f"{sx(p):.1f},{sy(low):.1f}" for p, low, _, _ in reversed(pts)]
             )
             parts.append(
                 f'<polygon class="band-{label}" points="{band}" fill="{color}" '
                 f'fill-opacity="0.15" stroke="none"/>'
             )
-        line = " ".join(f"{sx(p):.1f},{sy(_log10_floor(mean)):.1f}" for p, mean, _ in pts)
+        line = " ".join(f"{sx(p):.1f},{sy(mid):.1f}" for p, _, mid, _ in pts)
         parts.append(
             f'<polyline class="mean-{label}" points="{line}" fill="none" '
             f'stroke="{color}" stroke-width="1.6"/>'
         )
-        y_leg = _MT + 14 * (series.index(f) + 1)
+        y_leg = _MT + 14 * i
         parts.append(
             f'<line x1="{_W - _MR - 110}" y1="{y_leg}" x2="{_W - _MR - 86}" '
             f'y2="{y_leg}" stroke="{color}" stroke-width="1.6"/>'

@@ -244,21 +244,29 @@ def _apply_reflectors(v, tau, x):
     return x
 
 
+def _converged(what, routine, *args, **kwargs):
+    """``routine(*args, **kwargs)``, its ``LinAlgError`` raised as `ConvergenceError`."""
+    try:
+        return routine(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"{what} did not converge: {exc}") from exc
+
+
 def _singular_values(a):
     """Singular values of ``a``, or of each matrix in a stack, nonincreasing."""
-    try:
-        return np.linalg.svd(a, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"singular values did not converge: {exc}") from exc
+    return _converged("singular values", np.linalg.svd, a, compute_uv=False)
 
 
-def _rank_deficient(sigma_n, sigma_1, n, u):
+def _rank_deficient(sigma_n, sigma_1, like):
     """The library's one numerical-rank verdict: ``sigma_n < n u sigma_1``, or 0.
 
-    The zero clause catches the zero matrix, which the strict comparison
-    misses. `_rank_verdict` certifies a False verdict without an SVD.
+    n is the column count and u the unit roundoff of the matrix ``like``; an
+    array of sigma_n gets one verdict per entry. The zero clause catches the
+    zero matrix, which the strict comparison misses. `_rank_verdict`
+    certifies a False verdict without an SVD.
     """
-    return bool(sigma_n < n * u * sigma_1 or sigma_n == 0)
+    verdict = (sigma_n < like.shape[1] * unit_roundoff(like) * sigma_1) | (sigma_n == 0)
+    return verdict if np.ndim(verdict) else bool(verdict)
 
 
 def svd(a):
@@ -267,11 +275,7 @@ def svd(a):
     u is (m, k), s (k,) sorted nonincreasing and vh (k, n), k = min(m, n),
     so that ``a ~= u @ diag(s) @ vh``.
     """
-    a = as_matrix(a, "a")
-    try:
-        return np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"svd did not converge: {exc}") from exc
+    return _converged("svd", np.linalg.svd, as_matrix(a, "a"), full_matrices=False)
 
 
 def _kappa_sigma(a):
@@ -323,10 +327,7 @@ def spectral_norm(a):
         return 0.0
     x, e = _pow2_scaled(a)
     gram = x.conj().T @ x if x.shape[0] >= x.shape[1] else x @ x.conj().T
-    try:
-        lam = float(np.linalg.eigvalsh(gram)[-1])
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigenvalues did not converge: {exc}") from exc
+    lam = float(_converged("eigenvalues", np.linalg.eigvalsh, gram)[-1])
     return _scaled_back(math.sqrt(max(lam, 0.0)), e, "spectral_norm")
 
 
@@ -378,30 +379,34 @@ def _tri_inv(r):
     return x
 
 
-def _rank_verdict(r, r_inv, fallback):
-    """``(sigma_1, sigma_n, deficient)`` of a square matrix with the singular values of r.
+def _rank_verdict(r, inverse=_tri_inv, *, fallback):
+    """The one screen-then-SVD rank check: ``(sigma_1, sigma_n, deficient, r_inv)`` of ``r``.
 
-    The screen: ``r_inv`` is r^-1, or any matrix with the same Frobenius
-    norm, such as ``R^-1 Q^H``, or None when there is none. Since
-    ``sigma_n(r) >= 1 / ||r_inv||_F`` and ``||r||_2 <= ||r||_F``,
-    ``||r||_F ||r_inv||_F < 1 / (n^2 u)`` certifies ``sigma_n(r) > n u
-    ||r||_2`` with a spare factor n that covers the rounding in the computed
-    inverse: the result is ``(||r||_F, 1 / ||r_inv||_F, False)``, bounds on
-    the two singular values, without an SVD. A NaN or inf in either matrix
-    makes its norm non-finite, which fails the screen. Otherwise the exact
-    singular values of ``fallback`` (``r`` itself, or the matrix it was
-    factored from) are returned with `_rank_deficient`'s verdict.
+    The screen: ``r_inv = inverse(r)`` (default `_tri_inv`) is r^-1, or any
+    matrix with the same Frobenius norm, such as ``R^-1 Q^H``, formed with
+    numpy's warnings off; a ``LinAlgError`` from it, or ``inverse=None``,
+    leaves None. With n the column count, since ``sigma_n(r) >= 1 /
+    ||r_inv||_F`` and ``||r||_2 <= ||r||_F``, ``||r||_F ||r_inv||_F < 1 /
+    (n^2 u)`` certifies ``sigma_n(r) > n u ||r||_2`` with a spare factor n
+    that covers the rounding in the computed inverse: the result is
+    ``(||r||_F, 1 / ||r_inv||_F, False, r_inv)``, bounds on the two singular
+    values, without an SVD. A NaN or inf in either matrix fails the screen.
+    Otherwise the exact singular values of ``fallback`` (``r`` itself, or the
+    matrix r was factored from) are returned with `_rank_deficient`'s verdict.
     """
-    n = r.shape[0]
-    u = unit_roundoff(r)
-    if r_inv is not None:
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite product fails
+    r_inv = None
+    with np.errstate(all="ignore"):  # a non-finite inverse or product fails the screen
+        try:
+            if inverse is not None:
+                r_inv = inverse(r)
+        except np.linalg.LinAlgError:  # an exactly zero pivot, or a non-finite r
+            pass
+        if r_inv is not None:
             norm_r, norm_inv = np.linalg.norm(r), np.linalg.norm(r_inv)
-            passes = norm_r * norm_inv < 1.0 / (n * n * u)
-        if passes:
-            return float(norm_r), float(1.0 / norm_inv), False
+            if norm_r * norm_inv < 1.0 / (r.shape[1] ** 2 * unit_roundoff(r)):
+                return float(norm_r), float(1.0 / norm_inv), False, r_inv
     sv = _singular_values(fallback)
-    return float(sv[0]), float(sv[-1]), _rank_deficient(sv[-1], sv[0], n, u)
+    return float(sv[0]), float(sv[-1]), _rank_deficient(sv[-1], sv[0], r), r_inv
 
 
 def invert(a):
@@ -430,12 +435,9 @@ def invert(a):
         raise ShapeError("invert requires a nonempty matrix, got shape (0, 0)")
     _tally("inv")
     q, r = _positive_qr(a)
-    with np.errstate(all="ignore"):  # non-finite values are checked, not warned about
-        try:
-            x = np.linalg.solve(r, q.conj().T)
-        except np.linalg.LinAlgError:  # an exactly singular R
-            x = None
-    _, sigma_n, deficient = _rank_verdict(r, x, a)
+    # X = R^-1 Q^H, or None for an exactly singular R; non-finite values are checked below
+    _, sigma_n, deficient, x = _rank_verdict(r, lambda r: np.linalg.solve(r, q.conj().T),
+                                             fallback=a)
     if deficient:
         raise NumericallySingularError("invert: matrix is numerically singular", sigma_n)
     # a non-finite Q makes X non-finite too

@@ -166,11 +166,11 @@ def qr_perturb_certificate(a, e):
     m, n = a.shape
     if not m >= n >= 1:
         raise ShapeError(f"qr_perturb_certificate requires m >= n >= 1, got {a.shape}")
-    sv = kernels._singular_values(a)
-    if kernels._rank_deficient(sv[-1], sv[0], n, unit_roundoff(a)):
-        raise NumericallySingularError("qr_perturb_certificate: a is rank deficient", sv[-1])
+    sigma_1, sigma_n, deficient, _ = kernels._rank_verdict(a, None, fallback=a)
+    if deficient:
+        raise NumericallySingularError("qr_perturb_certificate: a is rank deficient", sigma_n)
     e_norm = kernels.spectral_norm(e)
-    alpha_arg = e_norm / float(sv[-1])
+    alpha_arg = e_norm / sigma_n
     # reduced QR with real positive diag(R): the unique factorization
     q_a, _ = kernels._positive_qr(a)
     q_ae, _ = kernels._positive_qr(a + e)
@@ -180,6 +180,6 @@ def qr_perturb_certificate(a, e):
     if alpha_arg == 0.0:
         bound = 0.0
     else:
-        kappa = float(sv[0] / sv[-1])
-        bound = (2.0 * math.log(n + 1) + 7.0) * sun_alpha(alpha_arg) * kappa * e_norm / float(sv[0])
+        kappa = sigma_1 / sigma_n
+        bound = (2.0 * math.log(n + 1) + 7.0) * sun_alpha(alpha_arg) * kappa * e_norm / sigma_1
     return PerturbCertificate(empirical, bound, alpha_arg, valid=True)

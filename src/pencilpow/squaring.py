@@ -65,8 +65,8 @@ class IRSStepTrace:
     matmul-only inverse of R_11. When these bounds cannot rule out the rank
     flag, an exact SVD of R_11 (of the stack when R is non-finite) decides
     it, and the two fields hold its exact sigma_1 and sigma_n.
-    ``rank_warning`` is `kernels._rank_deficient` of those two values (the
-    zero pencil included): it fires exactly where that SVD says so.
+    ``rank_warning`` is `kernels._rank_verdict`'s flag (the zero pencil
+    included): it fires exactly where that SVD says so.
     """
 
     step_index: int
@@ -91,15 +91,8 @@ class IRSRun:
 def _stack_diagnostics(stack, r11, step_index):
     # sigma(stack) = sigma(R_11), and R_11 is n x n where the stack is 2n x n;
     # a stack scaled into the subnormal range can leave R non-finite
-    finite = np.isfinite(r11).all()
-    r_inv = None
-    if finite:
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the screen
-            try:
-                r_inv = kernels._tri_inv(r11)
-            except np.linalg.LinAlgError:  # an exactly zero diagonal entry
-                pass
-    norm_stack, sigma_n, warn = kernels._rank_verdict(r11, r_inv, r11 if finite else stack)
+    fallback = r11 if np.isfinite(r11).all() else stack
+    norm_stack, sigma_n, warn, _ = kernels._rank_verdict(r11, fallback=fallback)
     if warn:
         warnings.warn(
             f"implicit squaring step {step_index}: stacked block is numerically "

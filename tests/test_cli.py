@@ -196,6 +196,19 @@ def test_invalid_config_exits_2_before_creating_the_output_dir(tmp_path, capsys)
     assert capsys.readouterr().err == "pencilpow: error: output_dir must be a non-empty path\n"
 
 
+@pytest.mark.parametrize("flags", [["--experiment", "foo"], ["--n", "8.5"]],
+                         ids=["unknown-choice", "non-integer"])
+def test_flag_argparse_rejects_exits_2_before_creating_the_output_dir(tmp_path, capsys, flags):
+    # argparse refuses these itself: its usage text and one "pencilpow run: error:" line
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        cli.main(["run", *flags, "--out", str(out)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: pencilpow run") and "\npencilpow run: error: " in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, runner", [
     (["run", "--experiment", "toy_identity", "--trials", "1"], "run_experiment"),
     (["bounds"], "run_bound_report"),

@@ -464,12 +464,44 @@ def test_rank_verdict_screens_before_the_svd():
     r_inv = np.linalg.inv(r)
     bounds = (float(np.linalg.norm(r)), float(1.0 / np.linalg.norm(r_inv)), False)
     # a passing screen never reads the fallback
-    assert kernels._rank_verdict(r, r_inv, None) == bounds
+    *verdict, got_inv = kernels._rank_verdict(r, lambda _: r_inv, fallback=None)
+    assert tuple(verdict) == bounds and got_inv is r_inv
     sv = np.linalg.svd(r, compute_uv=False)
-    for failing in (None, np.full_like(r, np.inf)):
-        assert kernels._rank_verdict(r, failing, r) == (sv[0], sv[-1], False)
+    assert kernels._rank_verdict(r, None, fallback=r) == (sv[0], sv[-1], False, None)
+    *verdict, _ = kernels._rank_verdict(r, lambda _: np.full_like(r, np.inf), fallback=r)
+    assert tuple(verdict) == (sv[0], sv[-1], False)
+
+    # an inverse that raises LinAlgError leaves the SVD to decide
+    def singular(_):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    assert kernels._rank_verdict(r, singular, fallback=r) == (sv[0], sv[-1], False, None)
     rank_one = np.outer(ginibre(8, rng)[:, 0], ginibre(8, rng)[0])
-    assert kernels._rank_verdict(rank_one, None, rank_one)[2]
+    assert kernels._rank_verdict(rank_one, None, fallback=rank_one)[2]
+    # a tall m x n matrix is judged against n = columns: sigma_n = 8 u lies
+    # above the threshold 4 u of its 4 columns and below 12 u of its 12 rows
+    for dtype in (np.complex64, np.complex128):
+        u = unit_roundoff(np.dtype(dtype))
+        for sigma_n, deficient in ((8 * u, False), (2 * u, True)):
+            tall = np.zeros((12, 4), dtype=dtype)
+            tall[:4, :4] = np.diag([1.0, 1.0, 1.0, sigma_n])
+            got = kernels._rank_verdict(tall, None, fallback=tall)
+            assert got[1] == pytest.approx(sigma_n) and got[2] is deficient
+        assert kernels._rank_deficient(8 * u, 1.0, np.zeros((12, 12), dtype=dtype))
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+def test_rank_deficient_on_an_array_is_the_scalar_verdict_per_entry(dtype):
+    like = np.zeros((5, 3), dtype=dtype)
+    real = like.real.dtype.type
+    sigma_1 = 2.5
+    t = real(3 * unit_roundoff(like) * sigma_1)  # the threshold n u sigma_1
+    sigma_n = np.array([0, np.nextafter(t, 0), t, np.nextafter(t, 1), 1, sigma_1], dtype=real)
+    got = kernels._rank_deficient(sigma_n, sigma_1, like)
+    assert got.tolist() == [kernels._rank_deficient(s, sigma_1, like) for s in sigma_n]
+    assert got.tolist() == [True, True, False, False, False, False]
+    # the zero clause holds entrywise: the zero matrix has sigma_1 = sigma_n = 0
+    assert kernels._rank_deficient(np.zeros(2, dtype=real), 0.0, like).tolist() == [True, True]
 
 
 def test_invert_rejects_rectangular():

@@ -262,6 +262,14 @@ def test_certificate_rank_deficient_error():
         qrperturb.qr_perturb_certificate(a, np.zeros_like(a))
 
 
+def test_certificate_rank_deficient_complex64_reports_numpys_sigma_min():
+    rng = rng_for(58)
+    a = (ginibre(6, rng, 3) @ ginibre(3, rng, 4)).astype(np.complex64)  # rank 3
+    with pytest.raises(NumericallySingularError) as exc:
+        qrperturb.qr_perturb_certificate(a, np.zeros_like(a))
+    assert exc.value.sigma_min == np.linalg.svd(a, compute_uv=False)[-1]
+
+
 def test_certificate_rejects_differing_shapes():
     with pytest.raises(ShapeError, match="a and e differ in shape"):
         qrperturb.qr_perturb_certificate(np.eye(3), np.eye(2))
