@@ -12,7 +12,9 @@ big matrix. The scale-invariant condition number is
 Also here: the distance to the nearest pencil singular on the unit circle
 (a grid + golden-section estimate of min_theta sigma_n(-A + e^{i theta} B))
 and Malyshev's integral criterion omega for the absence of unit-circle
-eigenvalues.
+eigenvalues. omega's trapezoidal rule on 2^k nodes is computed by k steps of
+`squaring.irs_iter` on the normalized pencil (Malyshev's doubling), so a
+`kernels.count_kernels` scope around it counts their QRs and matmuls.
 
 Each function but `build_mp_dense` first scales (A, B) jointly by a power
 of two, so nothing it forms overflows, and scales sigma_min, d and tol back
@@ -21,13 +23,14 @@ exactly.
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from . import kernels
 from .errors import ConvergenceError, NearSingularNodeError, ShapeError
 from .precision import _count, unit_roundoff
-from .squaring import Pencil
+from .squaring import Pencil, irs_iter
 
 __all__ = [
     "ConditionReport",
@@ -43,13 +46,12 @@ __all__ = [
 MP_DENSE_MAX_SIZE = 4096
 
 #: `distance_ill_posed`'s theta grid, whose spacing sets the chain's grid
-#: slack, and golden-section steps; `omega_malyshev`'s starting nodes, the
-#: relative change between doublings that settles it, and the doublings allowed
+#: slack, and golden-section steps; `omega_malyshev`'s first level (2^9 = 512
+#: nodes) and the relative change between levels that settles it
 GRID_POINTS = 256
 _REFINE_ITERS = 40
-_QUAD_POINTS = 512
+_QUAD_FIRST_LEVEL = 9
 _QUAD_REL_TOL = 1e-6
-_QUAD_MAX_DOUBLINGS = 8
 
 #: matrix entries `_shifted` forms at once, which bounds its memory
 _BATCH_ENTRIES = 2 ** 18
@@ -89,8 +91,9 @@ def _shifted(a, b, thetas):
 
 
 def _shifted_sigma_n(a, b, thetas):
-    """sigma_n(-A + e^{i theta} B) for each theta, whatever the batch size."""
-    return np.concatenate([kernels._singular_values(f)[:, -1] for _, f in _shifted(a, b, thetas)])
+    """sigma_n(-A + e^{i theta} B) for each theta, whatever the batch size (none for none)."""
+    return np.concatenate([np.empty(0, a.real.dtype)] + [kernels._singular_values(f)[:, -1]
+                                                         for _, f in _shifted(a, b, thetas)])
 
 
 def build_mp_dense(a, b, p):
@@ -190,54 +193,88 @@ def distance_ill_posed(a, b):
 def omega_malyshev(a, b):
     """Malyshev's criterion for absence of eigenvalues near the unit circle.
 
-    Evaluates the spectral norm of
+    The spectral norm of
 
         (1/2) integral_0^{2 pi} (B - e^{i phi} A)^-1 (A A^H + B B^H)
                                  (B - e^{i phi} A)^-H  d phi
 
-    by a trapezoidal rule on the periodic integrand, starting from
-    `_QUAD_POINTS` nodes and doubling until two successive estimates agree
-    to `_QUAD_REL_TOL`; each doubling adds only its new midpoints to a
-    running sum, so every node is factored once. Node phi is the `_shifted`
-    pencil at theta = -phi: B - e^{i phi} A = e^{i phi} (-A + e^{-i phi} B),
-    and the unit factor cancels in the integrand. The first node, in phi
-    order, whose sigma_n `kernels._rank_deficient` flags against
+    by the trapezoidal rule on 2^k nodes (`_omega_levels`), from k =
+    `_QUAD_FIRST_LEVEL` until two levels agree to `_QUAD_REL_TOL`. The first
+    node, in phi order, whose sigma_n `kernels._rank_deficient` flags against
     ``||(A; B)||_2`` raises `NearSingularNodeError` naming phi: the pencil has
     an eigenvalue too close to the unit circle for the integral to be trusted.
+    A rule not settled at 2^t nodes, t the significand width of the input's
+    precision (24 or 53 bits), raises `ConvergenceError`.
     """
     a, b, _ = _validated(a, b)
-    n = a.shape[0]
-    h = (a @ a.conj().T + b @ b.conj().T).astype(np.complex128)
-    stack_norm = kernels.spectral_norm(np.vstack([a, b]))
-
-    def node_sum(phis):
-        total = np.zeros((n, n), dtype=np.complex128)
-        for s, f in _shifted(a, b, -phis):
-            smallest = kernels._singular_values(f)[:, -1]
-            flagged = np.flatnonzero(kernels._rank_deficient(smallest, stack_norm, a))
-            if flagged.size:  # the first flagged node in phi order
-                k = flagged[0]
-                raise NearSingularNodeError("omega_malyshev: pencil is numerically singular "
-                                            "on the unit circle", smallest[k], phis[s + k])
-            f = f.astype(np.complex128)
-            t = np.linalg.solve(f, h).conj().swapaxes(1, 2)
-            total += np.linalg.solve(f, t).sum(axis=0).conj().T
-        return total
-
-    nodes = _QUAD_POINTS
-    acc = node_sum(np.linspace(0.0, 2.0 * np.pi, nodes, endpoint=False))
-    prev = kernels.spectral_norm((np.pi / nodes) * acc)
-    for _ in range(_QUAD_MAX_DOUBLINGS):
-        acc += node_sum(np.linspace(0.0, 2.0 * np.pi, 2 * nodes, endpoint=False)[1::2])
-        nodes *= 2
-        cur = kernels.spectral_norm((np.pi / nodes) * acc)
-        if abs(cur - prev) <= _QUAD_REL_TOL * abs(cur):
+    top = round(-math.log2(unit_roundoff(a)))
+    prev = math.nan
+    for k, cur in enumerate(islice(_omega_levels(a, b), top + 1 - _QUAD_FIRST_LEVEL)):
+        if k and abs(cur - prev) <= _QUAD_REL_TOL * cur:
             return cur
         prev = cur
-    raise ConvergenceError(
-        f"omega_malyshev: quadrature did not settle to rel {_QUAD_REL_TOL} within "
-        f"{nodes} nodes"
-    )
+    raise ConvergenceError(f"omega_malyshev: the rule did not settle to rel {_QUAD_REL_TOL} "
+                           f"within 2^{top} nodes")
+
+
+def _omega_levels(a, b):
+    """Yield omega's trapezoidal rule on the 2^k roots of unity, k = `_QUAD_FIRST_LEVEL`, ...
+
+    ``[A^H; B^H] = Q R`` (complex128) gives ``[Ã B̃] = Q^H`` with ``B - z A =
+    R^H (B̃ - z Ã)``, so the integrand is ``(B̃ - z Ã)^-1 (B̃ - z Ã)^-H``. An
+    IRS step keeps that form: ``B_1 - z^2 A_1 = (Q_22^H + z Q_12^H)(B̃ - z Ã)``,
+    and the terms of z and -z sum to twice the identity. So level k's rule is
+    ``pi / sigma_n(B_k - A_k)^2`` after k steps of `irs_iter` (Malyshev, 1993).
+
+    A level's SVD clears its nodes of the rank flag, or `_uncleared` narrows
+    them to those the `_shifted` pencil at theta = -phi must judge by
+    `kernels._rank_deficient`, raising at the first in phi order. Level 0 is
+    judged too, so a pencil singular at phi = 0 raises before an IRS step warns.
+    """
+    n = a.shape[0]
+    stack_norm = kernels.spectral_norm(np.vstack([a, b]))
+    q, r = kernels._positive_qr(np.hstack([a, b]).conj().T.astype(np.complex128))
+    norm_r, sigma_r, _, _ = kernels._rank_verdict(r, fallback=r)
+    u = unit_roundoff(r)
+    # a flagged node has sigma_n(B - zA) < n u_a ||(A; B)||, moved <= sqrt(2) n u ||R||
+    # by the QR's backward error and scaled by 1 / sigma_n(R); each later kernel adds
+    # <= 2 n u to sigma_n(B_j - w A_j), times sqrt(2) per later step (a geometric sum)
+    bound = (n * (unit_roundoff(a) * stack_norm + math.sqrt(2.0) * u * norm_r) / sigma_r
+             if sigma_r > 0 else math.inf) + 2.0 * math.sqrt(2.0) * n * u / (1.0 - math.sqrt(0.5))
+    levels = []
+    for k, level in enumerate(irs_iter(q[:n].conj().T, q[n:].conj().T)):
+        levels.append(level)
+        if 0 < k < _QUAD_FIRST_LEVEL:
+            continue
+        sigma = float(_shifted_sigma_n(level.a_p, level.b_p, [0.0])[0])
+        if not sigma >= 2.0 ** (k / 2) * bound:
+            phis = (2.0 * np.pi / 2 ** k) * _uncleared(levels, k, bound, k > _QUAD_FIRST_LEVEL)
+            smallest = _shifted_sigma_n(a, b, -phis)
+            flagged = np.flatnonzero(kernels._rank_deficient(smallest, stack_norm, a))
+            if flagged.size:
+                j = flagged[0]
+                raise NearSingularNodeError("omega_malyshev: pencil is numerically singular "
+                                            "on the unit circle", smallest[j], phis[j])
+        if k >= _QUAD_FIRST_LEVEL:
+            yield math.pi / sigma ** 2 if sigma ** 2 > 0 else math.inf
+
+
+def _uncleared(levels, k, bound, new):
+    """Indices m, ascending, of level k's nodes phi = 2 pi m / 2^k that no screen clears.
+
+    Coset r at depth j, the nodes with m = r mod 2^(k - j), maps to
+    ``B_j - w A_j``, w = e^{2 pi i r / 2^(k - j)}, whose sigma_n is at most
+    2^(j/2) times any of their ``sigma_n(B̃ - z Ã)``: above 2^(j/2) bound it
+    clears them all, and otherwise it splits in two at depth j - 1. The search
+    starts from the level's ``new`` nodes (m odd) or from all of them.
+    """
+    depth, cosets = (k - 1, np.array([1])) if new else (k, np.array([0]))
+    for j in range(depth, 0, -1):
+        period = 2 ** (k - j)
+        sigma = _shifted_sigma_n(levels[j].a_p, levels[j].b_p, (-2.0 * np.pi / period) * cosets)
+        cosets = cosets[~(sigma >= 2.0 ** (j / 2) * bound)]
+        cosets = np.concatenate([cosets, cosets + period])
+    return np.sort(cosets)
 
 
 @dataclass(frozen=True)
@@ -274,12 +311,13 @@ def condition_chain_check(a, b, p):
 
     Link failures are reported as data in the returned `ConditionReport`,
     but an omega that does not settle raises `ConvergenceError`: an
-    eigenvalue about 1e-4 from the unit circle needs more nodes than the
-    doublings allow (``condition_chain_check([[1]], [[1.0001]], 2)``). The
-    declared slack combines roundoff with the grid resolution of the
-    distance estimate (d is only estimated from above, so the middle link
-    uses the grid slack; see `distance_ill_posed`). The links are checked
-    on the scaled pencil; sigma, d and tol are then scaled back.
+    eigenvalue so close to the unit circle that the rule needs more than 2^t
+    nodes, t the significand width (``[[1]], [[1 + 2^-50]]`` in complex128).
+    One 1e-4 away (``condition_chain_check([[1]], [[1.0001]], 2)``) settles
+    at 2^19 nodes. The declared slack combines roundoff with the grid
+    resolution of the distance estimate (d is only estimated from above, so
+    the middle link uses the grid slack; see `distance_ill_posed`). The links
+    are checked on the scaled pencil; sigma, d and tol are then scaled back.
     """
     p = _count(p, 1, "condition_chain_check")
     a, b, e = _validated(a, b)

@@ -245,11 +245,19 @@ def _apply_reflectors(v, tau, x):
 
 
 def _converged(what, routine, *args, **kwargs):
-    """``routine(*args, **kwargs)``, its ``LinAlgError`` raised as `ConvergenceError`."""
+    """``routine(*args, **kwargs)``, its ``LinAlgError`` raised as `ConvergenceError`.
+
+    numpy runs complex64 in complex128 and casts back: a result past the
+    float32 range raises `DomainError` naming ``what``, not numpy's overflow.
+    """
     try:
-        return routine(*args, **kwargs)
+        with np.errstate(over="ignore"):  # the cast back; checked next
+            out = routine(*args, **kwargs)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"{what} did not converge: {exc}") from exc
+    if not np.isfinite(out[1] if isinstance(out, tuple) else out).all():
+        raise DomainError(f"{what}: a result overflows {args[0].dtype}")
+    return out
 
 
 def _singular_values(a):
@@ -353,7 +361,7 @@ def smallest_singular(a):
     a = as_matrix(a, "a")
     if min(a.shape) == 0:
         raise ShapeError(f"smallest_singular requires a nonempty matrix, got shape {a.shape}")
-    return float(_singular_values(a)[-1])
+    return float(_converged("smallest_singular", np.linalg.svd, a, compute_uv=False)[-1])
 
 
 def _tri_inv(r):

@@ -40,10 +40,20 @@ def dtype_for(precision):
 
 
 def unit_roundoff(a):
-    """Unit roundoff of a matrix, dtype, or precision name."""
+    """Unit roundoff of a matrix, dtype, scalar type, or precision name.
+
+    Real float32/float64 map as in `as_matrix`; anything else is a `DomainError`.
+    """
     if isinstance(a, str):
-        return UNIT_ROUNDOFF[np.dtype(dtype_for(a))]
-    return UNIT_ROUNDOFF[np.dtype(getattr(a, "dtype", a))]
+        a = dtype_for(a)
+    # a scalar type's ``dtype`` attribute is a descriptor: the type itself is the dtype
+    kind = a if isinstance(a, (type, np.dtype)) else getattr(a, "dtype", type(a))
+    try:
+        dtype = np.dtype(kind)
+        return UNIT_ROUNDOFF[np.dtype(_REAL_TO_COMPLEX.get(dtype, dtype))]
+    except (TypeError, KeyError):
+        raise DomainError(f"unit_roundoff: no unit roundoff for {kind!r}; expected "
+                          "complex64, complex128, float32 or float64") from None
 
 
 def as_matrix(a, name="matrix"):

@@ -6,7 +6,7 @@ import pytest
 
 from pencilpow import conditioning, kernels
 from pencilpow.errors import ConvergenceError, DomainError, NearSingularNodeError, ShapeError
-from pencilpow.harness.generators import gen_ginibre, gen_haar
+from pencilpow.harness.generators import build_test_pencil, gen_ginibre, gen_haar
 
 from conftest import rng_for
 
@@ -200,9 +200,32 @@ def test_omega_near_singular_node_error():
             assert exc.value.phi == pytest.approx(phi)
 
 
+def test_omega_names_the_first_flagged_node_of_the_sweep():
+    # an eigenvalue on the unit circle at node m of the first level (512 nodes):
+    # the screen and its coset search name the node a sweep of that level names
+    for n in (2, 8, 32):
+        for m in (0, 1, 128, 200, 511):
+            rng = rng_for(100 * n + m)
+            a, v = gen_ginibre(n, rng), gen_haar(n, rng)
+            d = 0.5 * np.exp(2j * np.pi * rng.random(n))
+            d[0] = np.exp(2j * np.pi * m / 512)
+            b = build_test_pencil(a, v, d)[0].b
+            for dtype in (np.complex64, np.complex128):
+                x, y, _ = conditioning._validated(a.astype(dtype), b.astype(dtype))
+                phis = (2.0 * np.pi / 512) * np.arange(512)
+                sigma = conditioning._shifted_sigma_n(x, y, -phis)
+                stack_norm = kernels.spectral_norm(np.vstack([x, y]))
+                flagged = np.flatnonzero(kernels._rank_deficient(sigma, stack_norm, x))
+                if flagged.size:
+                    with pytest.raises(NearSingularNodeError) as exc:
+                        conditioning.omega_malyshev(x, y)
+                    assert exc.value.phi == phis[flagged[0]], (n, m, dtype)
+
+
 def test_omega_factors_each_node_once(monkeypatch):
-    # the integrand of (I, 0) is constant, so the rule settles at its first
-    # doubling: 512 nodes, then only their 512 midpoints
+    # the integrand of (I, 0) is constant, so the rule settles at level 10, the
+    # first one compared with level 9: the pencils B_k - A_k of levels 0, 9 and
+    # 10 take one SVD each, which clears all of their nodes without factoring them
     matrices = []
     original = kernels._singular_values
 
@@ -211,14 +234,45 @@ def test_omega_factors_each_node_once(monkeypatch):
         return original(x)
 
     monkeypatch.setattr(kernels, "_singular_values", counting)
-    conditioning.omega_malyshev(np.eye(1), np.zeros((1, 1)))
-    assert sum(matrices) == 1024
+    assert conditioning.omega_malyshev(np.eye(1), np.zeros((1, 1))) == np.pi
+    assert matrices == [1] * 3
 
 
-def test_omega_convergence_error_after_the_last_doubling():
-    # an eigenvalue 1e-4 outside the unit circle needs more nodes than 8 doublings give
-    with pytest.raises(ConvergenceError, match="within 131072 nodes"):
-        conditioning.omega_malyshev(scalar(1.0), scalar(1.0001))
+def test_omega_convergence_error_after_the_last_doubling(monkeypatch):
+    # an eigenvalue 2^(3 - t) outside the unit circle needs more than 2^t nodes,
+    # t the significand width; even with no tolerance the rule stops there
+    monkeypatch.setattr(conditioning, "_QUAD_REL_TOL", 0.0)
+    for dtype, bits in ((np.complex128, 53), (np.complex64, 24)):
+        a, b = scalar(1.0).astype(dtype), scalar(1.0 + 2.0 ** (3 - bits)).astype(dtype)
+        with pytest.raises(ConvergenceError, match=rf"within 2\^{bits} nodes"):
+            conditioning.omega_malyshev(a, b)
+
+
+def test_omega_node_near_the_flag_is_searched_not_swept(monkeypatch):
+    # the node phi = 0 of (1, 1 + 2^-52) sits just above the rank flag, so no
+    # level's screen clears it: each level searches its new nodes by cosets,
+    # where a sweep of them would factor 2^(k-1) nodes at level k
+    matrices = []
+    original = kernels._singular_values
+
+    def counting(x):
+        matrices.append(1 if x.ndim == 2 else x.shape[0])
+        return original(x)
+
+    monkeypatch.setattr(kernels, "_singular_values", counting)
+    with pytest.raises(ConvergenceError, match=r"within 2\^53 nodes"):
+        conditioning.omega_malyshev(scalar(1.0), scalar(1.0 + 2.0 ** -52))
+    assert sum(matrices) < 2 ** 12
+
+
+def test_omega_settles_near_the_unit_circle():
+    # an eigenvalue 1e-4 outside the circle: the rule settles at 2^19 nodes, and
+    # omega(a, b) = pi (a^2 + b^2) / |b^2 - a^2| for scalars
+    a, b = 1.0, 1.0001
+    report = conditioning.condition_chain_check(scalar(a), scalar(b), 2)
+    exact = math.pi * (a * a + b * b) / abs(b * b - a * a)
+    assert report.omega_ab == pytest.approx(exact, rel=1e-10)
+    assert report.chain_ok
 
 
 def test_omega_memory_is_bounded(monkeypatch):

@@ -683,3 +683,31 @@ def test_lapack_non_convergence_is_a_convergence_error(monkeypatch, routine, cal
     monkeypatch.setattr(np.linalg, routine, fail)
     with pytest.raises(ConvergenceError, match="did not converge"):
         call(np.eye(3, dtype=complex))
+
+
+def test_svd_past_the_float32_range_is_a_domain_error():
+    # numpy computes complex64 in complex128 and casts the result back; sigma_1
+    # of this matrix is twice the float32 maximum, so that cast would overflow
+    a = np.full((4, 4), np.finfo(np.float32).max / 2, dtype=np.complex64)
+    for name, call in (("svd", kernels.svd), ("smallest_singular", kernels.smallest_singular)):
+        with pytest.raises(DomainError, match=f"{name}: a result overflows complex64"):
+            call(a)
+
+
+def test_unit_roundoff_of_every_input_kind():
+    u32, u64 = 2.0 ** -24, 2.0 ** -53
+    table = [
+        ("binary32", u32), ("binary64", u64),
+        (np.complex64, u32), (np.complex128, u64), (np.float32, u32), (np.float64, u64),
+        (np.dtype(np.complex64), u32), (np.dtype(np.float64), u64),
+        (np.zeros((2, 2), dtype=np.complex64), u32), (np.zeros(2), u64),
+        (np.complex64(1.0), u32), (np.float32(1.0), u32),
+        ("complex64", None), (np.float16, None), (np.zeros(2, dtype=int), None),
+        (np.zeros(2, dtype=object), None), ([[1.0]], None), (None, None), (object, None),
+    ]
+    for kind, u in table:
+        if u is None:
+            with pytest.raises(DomainError):
+                unit_roundoff(kind)
+        else:
+            assert unit_roundoff(kind) == u, kind

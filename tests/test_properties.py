@@ -2,14 +2,16 @@
 content comes from seeded generators so tolerances stay meaningful)."""
 
 import math
+from itertools import islice
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pencilpow import conditioning, kernels, qrperturb
 from pencilpow.harness.emit import emit_csv, parse_csv
 from pencilpow.harness.experiments import TrialRecord
-from pencilpow.harness.generators import gen_ginibre, sample_spectrum
+from pencilpow.harness.generators import build_test_pencil, gen_ginibre, gen_haar, sample_spectrum
 
 U64 = 2.0 ** -53
 
@@ -69,6 +71,37 @@ def test_spectrum_moduli_within_region(seed, r_lo, r_hi):
     mods = np.abs(d)
     assert np.all(mods >= r_lo - 1e-12) and np.all(mods <= r_hi + 1e-12)
     assert np.all(np.abs(sample_spectrum("disk", 20, seed)) <= 1.0 + 1e-15)
+
+
+def _trapezoid_omega(a, b, nodes):
+    """omega's trapezoidal rule from its definition: (pi / N) sum_z (B - z A)^-1 C (B - z A)^-H."""
+    c = a @ a.conj().T + b @ b.conj().T
+    total = np.zeros_like(c)
+    for z in np.exp(2j * np.pi * np.arange(nodes) / nodes):
+        x = np.linalg.inv(b - z * a)
+        total += x @ c @ x.conj().T
+    return np.linalg.norm((np.pi / nodes) * total, 2)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=2999), st.booleans())
+def test_omega_levels_are_the_trapezoidal_rule(seed, annulus):
+    # level k of the doubling is the rule on the 2^k roots of unity, k <= 6, read
+    # from level 0 on; the pencil is Ginibre, or (A, A V D V^H) with D in the
+    # annulus 1.2 <= |z| <= 2
+    rng = np.random.Generator(np.random.Philox(seed))
+    n = 1 + seed % 6
+    a = gen_ginibre(n, rng)
+    if annulus:
+        v = gen_haar(n, rng)
+        b = build_test_pencil(a, v, sample_spectrum("annulus", n, rng, r_lo=1.2, r_hi=2.0))[0].b
+    else:
+        b = gen_ginibre(n, rng)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(conditioning, "_QUAD_FIRST_LEVEL", 0)
+        levels = list(islice(conditioning._omega_levels(a, b), 7))
+    for k, omega in enumerate(levels):
+        assert omega == pytest.approx(_trapezoid_omega(a, b, 2 ** k), rel=1e-12)
 
 
 @settings(max_examples=20, deadline=None)
