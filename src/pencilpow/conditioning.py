@@ -53,7 +53,7 @@ _REFINE_ITERS = 40
 _QUAD_FIRST_LEVEL = 9
 _QUAD_REL_TOL = 1e-6
 
-#: matrix entries `_shifted` forms at once, which bounds its memory
+#: matrix entries `_shifted_sigma_n` forms at once, which bounds its memory
 _BATCH_ENTRIES = 2 ** 18
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -71,29 +71,24 @@ def _validated(a, b):
     return stack[:n], stack[n:], e
 
 
-def _roots_of_minus_one(p):
-    m = 2 ** p
-    j = np.arange(1, m + 1)
-    return (2.0 * j - 1.0) * np.pi / m
-
-
-def _shifted(a, b, thetas):
-    """Yield ``(s, batch)``: the pencils -A + e^{i theta} B for thetas[s:s + len(batch)].
-
-    Each batch holds at most `_BATCH_ENTRIES` entries (or one pencil), so
-    memory stays bounded while the 2^p thetas of `sigma_min_mp` grow; time
-    still grows as 2^p. LAPACK factors each pencil of a batch on its own.
-    """
-    shifts = np.exp(1j * np.asarray(thetas, dtype=np.float64)).astype(a.dtype)
-    step = max(1, _BATCH_ENTRIES // a.size)
-    for s in range(0, shifts.size, step):
-        yield s, -a[None, :, :] + shifts[s:s + step, None, None] * b[None, :, :]
+def _nodes(m, j):
+    """The angles 2 pi j / m: the m-th roots of unity for integer j, of -1 for j + 1/2."""
+    return (2.0 * np.pi / m) * np.asarray(j, dtype=np.float64)
 
 
 def _shifted_sigma_n(a, b, thetas):
-    """sigma_n(-A + e^{i theta} B) for each theta, whatever the batch size (none for none)."""
-    return np.concatenate([np.empty(0, a.real.dtype)] + [kernels._singular_values(f)[:, -1]
-                                                         for _, f in _shifted(a, b, thetas)])
+    """sigma_n(-A + e^{i theta} B) for each theta (none for none).
+
+    The one place the shifted pencils are formed: in batches of at most
+    `_BATCH_ENTRIES` entries (or one pencil), so memory stays bounded. LAPACK
+    factors each pencil on its own, so the batch size never changes a value.
+    """
+    shifts = np.exp(1j * np.asarray(thetas, dtype=np.float64)).astype(a.dtype)
+    step = max(1, _BATCH_ENTRIES // a.size)
+    batches = (-a[None, :, :] + shifts[s:s + step, None, None] * b[None, :, :]
+               for s in range(0, shifts.size, step))
+    return np.concatenate([np.empty(0, a.real.dtype)]
+                          + [kernels._singular_values(f)[:, -1] for f in batches])
 
 
 def build_mp_dense(a, b, p):
@@ -126,7 +121,7 @@ def sigma_min_mp(a, b, p):
     """
     a, b, e = _validated(a, b)
     p = _count(p, 1, "sigma_min_mp")
-    smin = float(np.min(_shifted_sigma_n(a, b, _roots_of_minus_one(p))))
+    smin = float(np.min(_shifted_sigma_n(a, b, _nodes(2 ** p, np.arange(2 ** p) + 0.5))))
     return kernels._scaled_back(smin, e, "sigma_min_mp")
 
 
@@ -177,17 +172,13 @@ def distance_ill_posed(a, b):
     overflows.
     """
     a, b, e = _validated(a, b)
-    thetas = np.linspace(0.0, 2.0 * np.pi, GRID_POINTS, endpoint=False)
+    thetas = _nodes(GRID_POINTS, np.arange(GRID_POINTS))
     vals = _shifted_sigma_n(a, b, thetas)
     k = int(np.argmin(vals))
-    best = float(vals[k])
     h = 2.0 * np.pi / GRID_POINTS
-
-    def objective(theta):
-        return float(_shifted_sigma_n(a, b, [theta])[0])
-
-    refined = _golden_section(objective, thetas[k] - h, thetas[k] + h, _REFINE_ITERS)
-    return kernels._scaled_back(min(best, refined), e, "distance_ill_posed")
+    refined = _golden_section(lambda theta: float(_shifted_sigma_n(a, b, [theta])[0]),
+                              thetas[k] - h, thetas[k] + h, _REFINE_ITERS)
+    return kernels._scaled_back(min(float(vals[k]), refined), e, "distance_ill_posed")
 
 
 def omega_malyshev(a, b):
@@ -227,14 +218,14 @@ def _omega_levels(a, b):
     ``pi / sigma_n(B_k - A_k)^2`` after k steps of `irs_iter` (Malyshev, 1993).
 
     A level's SVD clears its nodes of the rank flag, or `_uncleared` narrows
-    them to those the `_shifted` pencil at theta = -phi must judge by
+    them to those whose `_shifted_sigma_n` at theta = -phi must be judged by
     `kernels._rank_deficient`, raising at the first in phi order. Level 0 is
     judged too, so a pencil singular at phi = 0 raises before an IRS step warns.
     """
     n = a.shape[0]
     stack_norm = kernels.spectral_norm(np.vstack([a, b]))
     q, r = kernels._positive_qr(np.hstack([a, b]).conj().T.astype(np.complex128))
-    norm_r, sigma_r, _, _ = kernels._rank_verdict(r, fallback=r)
+    norm_r, sigma_r, _, _ = kernels._rank_verdict(r, fallback=r, what="omega_malyshev")
     u = unit_roundoff(r)
     # a flagged node has sigma_n(B - zA) < n u_a ||(A; B)||, moved <= sqrt(2) n u ||R||
     # by the QR's backward error and scaled by 1 / sigma_n(R); each later kernel adds
@@ -246,9 +237,9 @@ def _omega_levels(a, b):
         levels.append(level)
         if 0 < k < _QUAD_FIRST_LEVEL:
             continue
-        sigma = float(_shifted_sigma_n(level.a_p, level.b_p, [0.0])[0])
+        sigma = float(_shifted_sigma_n(level.a_p, level.b_p, _nodes(1, [0]))[0])
         if not sigma >= 2.0 ** (k / 2) * bound:
-            phis = (2.0 * np.pi / 2 ** k) * _uncleared(levels, k, bound, k > _QUAD_FIRST_LEVEL)
+            phis = _nodes(2 ** k, _uncleared(levels, k, bound, k > _QUAD_FIRST_LEVEL))
             smallest = _shifted_sigma_n(a, b, -phis)
             flagged = np.flatnonzero(kernels._rank_deficient(smallest, stack_norm, a))
             if flagged.size:
@@ -271,7 +262,7 @@ def _uncleared(levels, k, bound, new):
     depth, cosets = (k - 1, np.array([1])) if new else (k, np.array([0]))
     for j in range(depth, 0, -1):
         period = 2 ** (k - j)
-        sigma = _shifted_sigma_n(levels[j].a_p, levels[j].b_p, (-2.0 * np.pi / period) * cosets)
+        sigma = _shifted_sigma_n(levels[j].a_p, levels[j].b_p, -_nodes(period, cosets))
         cosets = cosets[~(sigma >= 2.0 ** (j / 2) * bound)]
         cosets = np.concatenate([cosets, cosets + period])
     return np.sort(cosets)

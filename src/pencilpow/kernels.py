@@ -260,9 +260,9 @@ def _converged(what, routine, *args, **kwargs):
     return out
 
 
-def _singular_values(a):
-    """Singular values of ``a``, or of each matrix in a stack, nonincreasing."""
-    return _converged("singular values", np.linalg.svd, a, compute_uv=False)
+def _singular_values(a, what="singular values"):
+    """Singular values of ``a``, or of each matrix in a stack, nonincreasing; errors name what."""
+    return _converged(what, np.linalg.svd, a, compute_uv=False)
 
 
 def _rank_deficient(sigma_n, sigma_1, like):
@@ -371,11 +371,12 @@ def _tri_inv(r):
     so above blocks of order `_BLOCK` the work is matmuls only, the
     stable building block of Demmel, Dumitriu and Holtz (2007). Smaller
     blocks go to ``np.linalg.solve``, whose LU of a triangle is exact (L = I),
-    so that is back substitution. Raises ``np.linalg.LinAlgError`` when a
-    diagonal entry is exactly zero, and for some non-finite ``r``. Not
-    tallied: it serves the rank screen (`_rank_verdict`) and the compact-WY
-    factors of `_apply_reflectors`, which are part of the one tallied QR.
+    so that is back substitution. All runs in complex128, as numpy's solve
+    does. Raises ``np.linalg.LinAlgError`` when a diagonal entry is exactly
+    zero, and for some non-finite ``r``. Not tallied: it serves the rank
+    screen (`_rank_verdict`) and the WY factors (`_apply_reflectors`) of a QR.
     """
+    r = r.astype(np.complex128, copy=False)
     n = r.shape[0]
     if n <= _BLOCK:
         return np.linalg.solve(r, np.eye(n, dtype=r.dtype))
@@ -387,20 +388,25 @@ def _tri_inv(r):
     return x
 
 
-def _rank_verdict(r, inverse=_tri_inv, *, fallback):
+def _rank_verdict(r, inverse=_tri_inv, *, fallback, what):
     """The one screen-then-SVD rank check: ``(sigma_1, sigma_n, deficient, r_inv)`` of ``r``.
 
     The screen: ``r_inv = inverse(r)`` (default `_tri_inv`) is r^-1, or any
     matrix with the same Frobenius norm, such as ``R^-1 Q^H``, formed with
     numpy's warnings off; a ``LinAlgError`` from it, or ``inverse=None``,
-    leaves None. With n the column count, since ``sigma_n(r) >= 1 /
-    ||r_inv||_F`` and ``||r||_2 <= ||r||_F``, ``||r||_F ||r_inv||_F < 1 /
-    (n^2 u)`` certifies ``sigma_n(r) > n u ||r||_2`` with a spare factor n
-    that covers the rounding in the computed inverse: the result is
-    ``(||r||_F, 1 / ||r_inv||_F, False, r_inv)``, bounds on the two singular
-    values, without an SVD. A NaN or inf in either matrix fails the screen.
-    Otherwise the exact singular values of ``fallback`` (``r`` itself, or the
-    matrix r was factored from) are returned with `_rank_deficient`'s verdict.
+    leaves None. As ``kappa_2(r) <= ||r||_F ||r^-1||_F``, ``||r||_F ||r_inv||_F
+    < 1 / (s n u)``, n the column count, certifies ``sigma_n(r) > n u ||r||_2``
+    if s covers the rounding. Both inverses are substitutions in complex128
+    (u_d = 2^-53; invert's X is then rounded to r's dtype), with residual at
+    most ``c n u_d ||r||_F ||r_inv||_F < c u_d / (s u)`` (Higham, *ASNA*, 2nd
+    ed., sections 8.1, 14.2), which bounds ``||r^-1||_F / ||r_inv||_F``. So s =
+    n for complex128, and s = 2 for complex64 (u_d / u = 2^-29) while the
+    float32 ||r||_F errs by at most n^2 u <= 1; s = n cannot pass from n = 256,
+    as ``||r||_F ||r^-1||_F >= n``. `_tri_inv`'s matmul levels are taken to
+    keep the bound. A pass returns ``(||r||_F, 1 / ||r_inv||_F, False, r_inv)``
+    without an SVD; a NaN or inf in either matrix fails it. Otherwise the
+    exact singular values of ``fallback`` (``r``, or the matrix r was factored
+    from) come with `_rank_deficient`'s verdict; an SVD failure names ``what``.
     """
     r_inv = None
     with np.errstate(all="ignore"):  # a non-finite inverse or product fails the screen
@@ -410,10 +416,11 @@ def _rank_verdict(r, inverse=_tri_inv, *, fallback):
         except np.linalg.LinAlgError:  # an exactly zero pivot, or a non-finite r
             pass
         if r_inv is not None:
-            norm_r, norm_inv = np.linalg.norm(r), np.linalg.norm(r_inv)
-            if norm_r * norm_inv < 1.0 / (r.shape[1] ** 2 * unit_roundoff(r)):
+            norm_r, norm_inv, n = np.linalg.norm(r), np.linalg.norm(r_inv), r.shape[1]
+            spare = 2 if r.dtype == np.complex64 and n <= 2 ** 12 else n  # n^2 u <= 1
+            if norm_r * norm_inv < 1.0 / (spare * n * unit_roundoff(r)):
                 return float(norm_r), float(1.0 / norm_inv), False, r_inv
-    sv = _singular_values(fallback)
+    sv = _singular_values(fallback, what)
     return float(sv[0]), float(sv[-1]), _rank_deficient(sv[-1], sv[0], r), r_inv
 
 
@@ -433,9 +440,9 @@ def invert(a):
     The singularity guard needs an SVD of ``a`` only near its threshold. The
     factors screen it first: ``kappa_2(a) = kappa_2(R)`` and
     ``||X||_F = ||R^-1||_F``, so factors and X that pass `_rank_verdict`'s
-    screen (``||R||_F ||X||_F < 1 / (n^2 u)``, a factor n inside the guard's
-    ``1 / (n u)``) are returned without one. Any other input runs the exact
-    guard, so the error fires on the same inputs either way.
+    screen (``||R||_F ||X||_F < 1 / (s n u)``, a spare factor s inside the
+    guard's ``1 / (n u)``) are returned without one. Any other input runs
+    the exact guard, so the error fires on the same inputs either way.
     """
     a = square_matrix(a, "a")
     n = a.shape[0]
@@ -445,7 +452,7 @@ def invert(a):
     q, r = _positive_qr(a)
     # X = R^-1 Q^H, or None for an exactly singular R; non-finite values are checked below
     _, sigma_n, deficient, x = _rank_verdict(r, lambda r: np.linalg.solve(r, q.conj().T),
-                                             fallback=a)
+                                             fallback=a, what="invert")
     if deficient:
         raise NumericallySingularError("invert: matrix is numerically singular", sigma_n)
     # a non-finite Q makes X non-finite too

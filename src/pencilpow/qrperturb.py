@@ -166,7 +166,8 @@ def qr_perturb_certificate(a, e):
     m, n = a.shape
     if not m >= n >= 1:
         raise ShapeError(f"qr_perturb_certificate requires m >= n >= 1, got {a.shape}")
-    sigma_1, sigma_n, deficient, _ = kernels._rank_verdict(a, None, fallback=a)
+    sigma_1, sigma_n, deficient, _ = kernels._rank_verdict(a, None, fallback=a,
+                                                           what="qr_perturb_certificate")
     if deficient:
         raise NumericallySingularError("qr_perturb_certificate: a is rank deficient", sigma_n)
     e_norm = kernels.spectral_norm(e)

@@ -92,7 +92,7 @@ def _stack_diagnostics(stack, r11, step_index):
     # sigma(stack) = sigma(R_11), and R_11 is n x n where the stack is 2n x n;
     # a stack scaled into the subnormal range can leave R non-finite
     fallback = r11 if np.isfinite(r11).all() else stack
-    norm_stack, sigma_n, warn, _ = kernels._rank_verdict(r11, fallback=fallback)
+    norm_stack, sigma_n, warn, _ = kernels._rank_verdict(r11, fallback=fallback, what="irs_step")
     if warn:
         warnings.warn(
             f"implicit squaring step {step_index}: stacked block is numerically "

@@ -170,12 +170,20 @@ def test_distance_scalar_eigenvalue_on_circle():
 
 
 def test_distance_below_sigma_min_mp():
+    # for p <= 7 the 2^p-th roots of -1 are, bit for bit, nodes of the grid of
+    # GRID_POINTS = 2^8 roots of unity, so d <= sigma_min(M_p) needs no slack
     rng = rng_for(47)
-    a = gen_ginibre(3, rng)
-    b = gen_ginibre(3, rng)
-    d = conditioning.distance_ill_posed(a, b)
-    for p in (1, 2, 3):
-        assert d <= conditioning.sigma_min_mp(a, b, p) + 1e-10
+    for dtype in (np.complex64, np.complex128):
+        for _ in range(5):
+            a = gen_ginibre(3, rng).astype(dtype)
+            b = gen_ginibre(3, rng).astype(dtype)
+            d = conditioning.distance_ill_posed(a, b)
+            for p in range(1, 8):
+                assert d <= conditioning.sigma_min_mp(a, b, p), (dtype, p)
+    grid = conditioning._nodes(conditioning.GRID_POINTS, np.arange(conditioning.GRID_POINTS))
+    for p in range(1, 8):
+        roots = conditioning._nodes(2 ** p, np.arange(2 ** p) + 0.5)
+        assert np.isin(roots, grid).all()
 
 
 # --- omega_malyshev ----------------------------------------------------------------

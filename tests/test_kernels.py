@@ -458,26 +458,43 @@ def test_invert_skips_guard_svd_when_well_conditioned(monkeypatch):
         assert np.linalg.norm(x @ a - np.eye(32), 2) <= 1e3 * unit_roundoff(a)
 
 
+def test_complex64_screen_passes_from_n_256(monkeypatch):
+    # ||R||_F ||R^-1||_F >= n, so a spare factor n in the screen's 1 / (s n u)
+    # rejected every complex64 R from n = 256; the inverse formed in complex128
+    # leaves a spare factor 2, and a Ginibre step and inversion take no SVD
+    def no_svd(*args):
+        raise AssertionError("rank check fell back to the SVD")
+
+    rng = rng_for(18)
+    a, b = (ginibre(256, rng).astype(np.complex64) for _ in range(2))
+    monkeypatch.setattr(kernels, "_singular_values", no_svd)
+    a_next, b_next, trace = squaring.irs_step(a, b)
+    assert a_next.dtype == np.complex64 and not trace.rank_warning
+    x = kernels.invert(a)
+    assert x.dtype == np.complex64 and np.linalg.norm(x @ a - np.eye(256)) < 1e-2
+
+
 def test_rank_verdict_screens_before_the_svd():
     rng = rng_for(17)
     r = np.triu(ginibre(8, rng)) + 4 * np.eye(8)
     r_inv = np.linalg.inv(r)
     bounds = (float(np.linalg.norm(r)), float(1.0 / np.linalg.norm(r_inv)), False)
     # a passing screen never reads the fallback
-    *verdict, got_inv = kernels._rank_verdict(r, lambda _: r_inv, fallback=None)
+    *verdict, got_inv = kernels._rank_verdict(r, lambda _: r_inv, fallback=None, what="t")
     assert tuple(verdict) == bounds and got_inv is r_inv
     sv = np.linalg.svd(r, compute_uv=False)
-    assert kernels._rank_verdict(r, None, fallback=r) == (sv[0], sv[-1], False, None)
-    *verdict, _ = kernels._rank_verdict(r, lambda _: np.full_like(r, np.inf), fallback=r)
+    assert kernels._rank_verdict(r, None, fallback=r, what="t") == (sv[0], sv[-1], False, None)
+    *verdict, _ = kernels._rank_verdict(r, lambda _: np.full_like(r, np.inf), fallback=r,
+                                         what="t")
     assert tuple(verdict) == (sv[0], sv[-1], False)
 
     # an inverse that raises LinAlgError leaves the SVD to decide
     def singular(_):
         raise np.linalg.LinAlgError("Singular matrix")
 
-    assert kernels._rank_verdict(r, singular, fallback=r) == (sv[0], sv[-1], False, None)
+    assert kernels._rank_verdict(r, singular, fallback=r, what="t") == (sv[0], sv[-1], False, None)
     rank_one = np.outer(ginibre(8, rng)[:, 0], ginibre(8, rng)[0])
-    assert kernels._rank_verdict(rank_one, None, fallback=rank_one)[2]
+    assert kernels._rank_verdict(rank_one, None, fallback=rank_one, what="t")[2]
     # a tall m x n matrix is judged against n = columns: sigma_n = 8 u lies
     # above the threshold 4 u of its 4 columns and below 12 u of its 12 rows
     for dtype in (np.complex64, np.complex128):
@@ -485,7 +502,7 @@ def test_rank_verdict_screens_before_the_svd():
         for sigma_n, deficient in ((8 * u, False), (2 * u, True)):
             tall = np.zeros((12, 4), dtype=dtype)
             tall[:4, :4] = np.diag([1.0, 1.0, 1.0, sigma_n])
-            got = kernels._rank_verdict(tall, None, fallback=tall)
+            got = kernels._rank_verdict(tall, None, fallback=tall, what="t")
             assert got[1] == pytest.approx(sigma_n) and got[2] is deficient
         assert kernels._rank_deficient(8 * u, 1.0, np.zeros((12, 12), dtype=dtype))
 
@@ -689,7 +706,9 @@ def test_svd_past_the_float32_range_is_a_domain_error():
     # numpy computes complex64 in complex128 and casts the result back; sigma_1
     # of this matrix is twice the float32 maximum, so that cast would overflow
     a = np.full((4, 4), np.finfo(np.float32).max / 2, dtype=np.complex64)
-    for name, call in (("svd", kernels.svd), ("smallest_singular", kernels.smallest_singular)):
+    # invert's rank check falls back to that SVD, and its refusal names invert
+    for name, call in (("svd", kernels.svd), ("smallest_singular", kernels.smallest_singular),
+                       ("invert", kernels.invert)):
         with pytest.raises(DomainError, match=f"{name}: a result overflows complex64"):
             call(a)
 
