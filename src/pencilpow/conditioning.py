@@ -18,7 +18,8 @@ eigenvalues. omega's trapezoidal rule on 2^k nodes is computed by k steps of
 
 Each function but `build_mp_dense` first scales (A, B) jointly by a power
 of two, so nothing it forms overflows, and scales sigma_min, d and tol back
-exactly.
+exactly. The root formula refuses p above `MP_MAX_P` (`ShapeError`) before
+it forms a node.
 """
 
 import math
@@ -44,6 +45,13 @@ __all__ = [
 
 #: dense construction guard: refuse m * n above this.
 MP_DENSE_MAX_SIZE = 4096
+
+#: root formula guard: refuse p above this, so at most 2^24 roots of -1 are
+#: swept. Neighbouring roots then lie 2 pi 2^-24 apart, about 6 units of
+#: complex64's roundoff (the rounded shifts start to coincide at p = 27), and
+#: sigma_n moves by at most ||B||_2 times that between them; the sweep's node
+#: arrays already peak near 0.7 GB, and p = 40 would ask for terabytes.
+MP_MAX_P = 24
 
 #: `distance_ill_posed`'s theta grid, whose spacing sets the chain's grid
 #: slack, and golden-section steps; `omega_malyshev`'s first level (2^9 = 512
@@ -91,6 +99,14 @@ def _shifted_sigma_n(a, b, thetas):
                           + [kernels._singular_values(f)[:, -1] for f in batches])
 
 
+def _root_count(p, name):
+    """``_count(p, 1, name)``, and `ShapeError` naming ``name`` above `MP_MAX_P`."""
+    p = _count(p, 1, name)
+    if p > MP_MAX_P:
+        raise ShapeError(f"{name} sweeps 2^p roots of -1 and requires p <= {MP_MAX_P}, got {p}")
+    return p
+
+
 def build_mp_dense(a, b, p):
     """Assemble M_p(A, B) explicitly (test-scale oracle for the root formula).
 
@@ -120,7 +136,7 @@ def sigma_min_mp(a, b, p):
     Raises `DomainError` when the value itself overflows.
     """
     a, b, e = _validated(a, b)
-    p = _count(p, 1, "sigma_min_mp")
+    p = _root_count(p, "sigma_min_mp")
     smin = float(np.min(_shifted_sigma_n(a, b, _nodes(2 ** p, np.arange(2 ** p) + 0.5))))
     return kernels._scaled_back(smin, e, "sigma_min_mp")
 
@@ -132,7 +148,7 @@ def kappa_irs(a, b, p):
     against ``||(A; B)||_2``: an eigenvalue of the pencil sits on an m-th
     root of -1 to working precision, or the pencil is zero.
     """
-    p = _count(p, 1, "kappa_irs")
+    p = _root_count(p, "kappa_irs")
     a, b, _ = _validated(a, b)
     return _kappa(kernels.spectral_norm(np.vstack([a, b])), sigma_min_mp(a, b, p), a)
 
@@ -310,7 +326,7 @@ def condition_chain_check(a, b, p):
     the middle link uses the grid slack; see `distance_ill_posed`). The links
     are checked on the scaled pencil; sigma, d and tol are then scaled back.
     """
-    p = _count(p, 1, "condition_chain_check")
+    p = _root_count(p, "condition_chain_check")
     a, b, e = _validated(a, b)
     n = a.shape[0]
     stack_sigma_n = kernels.smallest_singular(np.vstack([b, -a]))

@@ -11,11 +11,13 @@ takes only the five settings the bound report reads, and writes
 the draw it echoes); `emit` formats every CSV cell. A refused setting, config
 line or unreadable config file, an ``--out`` that exists and is not a
 directory, and a ``run`` that measures no row, exit with code 2 and one
-``pencilpow: error: ...`` line before <out>/ is made; a flag value argparse
-rejects (``--experiment foo``, ``--n 8.5``) exits 2 before it too, with
-argparse's usage text and ``pencilpow run: error: ...``. Both commands make
-<out>/ after the computation; an `OSError` from making or writing into it
-exits 2 with one ``pencilpow: error:`` line.
+``pencilpow: error: ...`` line before <out>/ is made, and so does any
+`PencilPowError` the computation raises (``bounds --p-max 30`` is past the
+root formula's cap); a flag value argparse rejects (``--experiment foo``,
+``--n 8.5``) exits 2 before it too, with argparse's usage text and
+``pencilpow run: error: ...``. Both commands make <out>/ after the
+computation; an `OSError` from making or writing into it exits 2 with one
+``pencilpow: error:`` line.
 """
 
 import argparse
@@ -84,21 +86,18 @@ def _refuse(reason):
 
 
 def _build_config(args):
-    """The checked config of ``args``; a `PencilPowError`, or an ``--out`` that
-    exists and is not a directory, is refused by `_refuse`."""
+    """The checked config of ``args``; an ``--out`` that exists and is not a
+    directory is refused by `_refuse`."""
     kwargs = {}
-    try:
-        if getattr(args, "config", None):
-            kwargs.update(_read_config_file(args.config))
-        for key in _CONFIG_TYPES:
-            val = getattr(args, key, None)
-            if val is not None:
-                kwargs[key] = val
-        if "precision" in kwargs:
-            kwargs["precision"] = _PRECISION_ALIASES.get(kwargs["precision"], kwargs["precision"])
-        config = ExperimentConfig(**kwargs)
-    except PencilPowError as exc:
-        _refuse(exc)
+    if getattr(args, "config", None):
+        kwargs.update(_read_config_file(args.config))
+    for key in _CONFIG_TYPES:
+        val = getattr(args, key, None)
+        if val is not None:
+            kwargs[key] = val
+    if "precision" in kwargs:
+        kwargs["precision"] = _PRECISION_ALIASES.get(kwargs["precision"], kwargs["precision"])
+    config = ExperimentConfig(**kwargs)
     if os.path.exists(config.output_dir) and not os.path.isdir(config.output_dir):
         _refuse(f"{config.output_dir}: --out exists and is not a directory")
     return config
@@ -167,6 +166,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except PencilPowError as exc:  # a refused setting, or raised by the computation
+        _refuse(exc)
     except OSError as exc:  # from making <out>/ or writing into it, after the computation
         _refuse(f"cannot write output: {exc}")
 

@@ -15,7 +15,7 @@ from itertools import islice
 import numpy as np
 
 from .. import kernels
-from ..conditioning import _kappa, sigma_min_mp
+from ..conditioning import _kappa, _root_count, sigma_min_mp
 from ..errors import DomainError, NumericallySingularError
 from ..expm import _final_pencil
 from ..kernels import _kappa_sigma
@@ -304,8 +304,10 @@ def run_bound_report(config):
     ``kernel_calls`` is the `kernels.count_kernels` tally of the measured
     loop (both paths' steps and conversions), so the report records the run
     it made. The cost identities those counts follow are tested by
-    acceptance criterion 12.
+    acceptance criterion 12. A ``p_max`` past `conditioning.MP_MAX_P` is
+    refused before the pencil is drawn.
     """
+    _root_count(config.p_max, "run_bound_report")
     n = config.n
     u = unit_roundoff(config.precision)
     # moduli straddling the unit circle keep the 2^j product terms of both

@@ -147,7 +147,8 @@ def full_qr(a):
     only when read: a caller that needs only the trailing m - n columns
     reads ``complement`` and never pays for the leading n. Forming Q is part
     of the one tallied QR, so it uses plain ``@``, not `matmul`. This is the
-    billed QR of the cost model; `_positive_qr` is the unbilled one.
+    billed QR of the cost model; `_positive_qr` is the unbilled one. A
+    complex64 R past the float32 range raises `DomainError`.
 
     Parameters
     ----------
@@ -167,7 +168,12 @@ def full_qr(a):
     # reflectors unrounded rounds Q once, as LAPACK's complete Q is rounded
     h, tau = np.linalg.qr(a.astype(np.complex128, copy=False), mode="raw")
     v = h.T  # ?geqrf's output: R on and above the diagonal, V below it
-    r = np.triu(v).astype(a.dtype, copy=False)
+    r = np.triu(v)
+    if r.dtype != a.dtype:  # complex64: R past the float32 range would cast to inf
+        with np.errstate(over="ignore"):  # checked next
+            r = r.astype(a.dtype)
+        if not np.isfinite(r).all():
+            raise DomainError(f"full_qr: a result overflows {a.dtype}")
     phases = _positive_diagonal(r)
     # V is built in place: rows n: lie wholly below the diagonal already
     v[:n] = np.tril(v[:n], -1)
@@ -361,7 +367,7 @@ def smallest_singular(a):
     a = as_matrix(a, "a")
     if min(a.shape) == 0:
         raise ShapeError(f"smallest_singular requires a nonempty matrix, got shape {a.shape}")
-    return float(_converged("smallest_singular", np.linalg.svd, a, compute_uv=False)[-1])
+    return float(_singular_values(a, "smallest_singular")[-1])
 
 
 def _tri_inv(r):

@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from pencilpow.errors import RankDeficientStackWarning
+from pencilpow.errors import ConvergenceError, RankDeficientStackWarning
 from pencilpow.harness import cli
 from pencilpow.harness.emit import parse_csv
 from pencilpow.harness.experiments import EXPERIMENTS
@@ -233,3 +233,23 @@ def test_out_that_is_not_a_directory_exits_2(tmp_path, capsys, monkeypatch, comm
         assert len(calls) == n_calls
         assert tuple(capsys.readouterr()) == ("", f"pencilpow: error: {message}\n")
     assert file.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("command, runner", [
+    (["run", "--experiment", "toy_identity", "--trials", "1"], "run_experiment"),
+    (["bounds"], "run_bound_report"),
+])
+def test_structured_error_from_the_computation_exits_2(tmp_path, capsys, monkeypatch,
+                                                       command, runner):
+    # a PencilPowError raised past the config checks takes the one refusal path too:
+    # no traceback, one line, and no <out>/ (bounds --p-max 30 is a real instance)
+    def fail(config):
+        raise ConvergenceError("svd did not converge")
+
+    monkeypatch.setattr(cli, runner, fail)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        cli.main(command + ["--n", "4", "--p-max", "2", "--out", str(out)])
+    assert info.value.code == 2
+    assert tuple(capsys.readouterr()) == ("", "pencilpow: error: svd did not converge\n")
+    assert not out.exists()

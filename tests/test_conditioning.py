@@ -91,6 +91,19 @@ def test_sigma_min_mp_memory_is_bounded(monkeypatch):
     assert conditioning.sigma_min_mp(a, b, 6) == whole
 
 
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+def test_root_formula_refuses_p_past_its_cap(dtype):
+    # numpy would ask for 8 TiB of nodes at p = 40, and np.arange(2^64) is refused
+    # outright; each entry point refuses first, naming itself
+    a, b = np.eye(2, dtype=dtype), np.diag([2.0, 0.5]).astype(dtype)
+    for func in (conditioning.sigma_min_mp, conditioning.kappa_irs,
+                 conditioning.condition_chain_check):
+        for p in (40, 64, 25):
+            refusal = rf"{func.__name__} sweeps 2\^p roots of -1 and requires p <= 24, got {p}"
+            with pytest.raises(ShapeError, match=refusal):
+                func(a, b, p)
+
+
 # --- kappa_irs -------------------------------------------------------------------
 
 def test_kappa_identity_pencil():
@@ -414,9 +427,9 @@ def test_chain_sweeps_the_roots_once(monkeypatch):
     shapes = []
     original = kernels._singular_values
 
-    def counting(x):
+    def counting(x, *rest):
         shapes.append(x.shape)
-        return original(x)
+        return original(x, *rest)
 
     monkeypatch.setattr(kernels, "_singular_values", counting)
     report = conditioning.condition_chain_check(a, b, 3)

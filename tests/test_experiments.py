@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pencilpow import kernels
-from pencilpow.errors import DomainError
+from pencilpow.errors import DomainError, ShapeError
 from pencilpow.harness import emit, experiments as ex
 
 
@@ -235,6 +235,14 @@ def test_bound_report_flop_identities():
     report = ex.run_bound_report(config)
     assert [row.p for row in report.rows] == list(range(1, 13))
     assert report.kernel_calls.qr == 12
+
+
+def test_bound_report_refuses_p_max_past_the_root_formula_cap(monkeypatch):
+    # kappa_irs at p = 40 would ask for terabytes of roots; refused before the draw
+    monkeypatch.setattr(ex, "_draw_square_pencil", lambda *args: pytest.fail("pencil drawn"))
+    refusal = r"run_bound_report sweeps 2\^p roots of -1 and requires p <= 24, got 40"
+    with pytest.raises(ShapeError, match=refusal):
+        ex.run_bound_report(small_config(p_max=40))
 
 
 def test_run_experiment_dispatch():

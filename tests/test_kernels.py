@@ -706,11 +706,16 @@ def test_svd_past_the_float32_range_is_a_domain_error():
     # numpy computes complex64 in complex128 and casts the result back; sigma_1
     # of this matrix is twice the float32 maximum, so that cast would overflow
     a = np.full((4, 4), np.finfo(np.float32).max / 2, dtype=np.complex64)
-    # invert's rank check falls back to that SVD, and its refusal names invert
-    for name, call in (("svd", kernels.svd), ("smallest_singular", kernels.smallest_singular),
-                       ("invert", kernels.invert)):
+    # invert's rank check falls back to that SVD, and its refusal names invert;
+    # the 8 x 4 stack of a and -a has column norm sqrt(2) max, the first entry of R
+    stack = np.vstack([a, -a])
+    for name, call in (("svd", lambda: kernels.svd(a)),
+                       ("smallest_singular", lambda: kernels.smallest_singular(a)),
+                       ("invert", lambda: kernels.invert(a)),
+                       ("full_qr", lambda: kernels.full_qr(stack)),
+                       ("full_qr", lambda: squaring.irs_step(a, a))):
         with pytest.raises(DomainError, match=f"{name}: a result overflows complex64"):
-            call(a)
+            call()
 
 
 def test_unit_roundoff_of_every_input_kind():
