@@ -30,7 +30,7 @@ _THETA_13 = 5.371920351148152e0
 
 _BACKENDS = ("explicit", "irs")
 
-#: the stage that `_finite` names when a Pade product or sum overflows
+#: the stage that `kernels.matmul` or `_finite` names when a Pade product, p or q overflows
 _PADE = "pade_numerator_denominator"
 
 
@@ -87,18 +87,17 @@ def pade_numerator_denominator(x):
     six products, X^2, X^4, X^6, one with X^6 for each sum, and X times the
     odd one.
 
-    Raises `DomainError` naming this stage when a power, a partial sum that
-    enters a product, p or q is not finite.
+    Raises `DomainError` naming this stage when a product, p or q
+    overflows; a sum that overflows is refused by the product it enters.
     """
     x = square_matrix(x, "x")
     b = _pade_coefficients()
+    x2 = kernels.matmul(x, x, _PADE, "X^2")
+    x4 = kernels.matmul(x2, x2, _PADE, "X^4")
+    x6 = kernels.matmul(x4, x2, _PADE, "X^6")
+    powers = (np.eye(x.shape[0], dtype=x.dtype), x2, x4, x6)
     with np.errstate(over="ignore", invalid="ignore"):  # every result is checked
-        x2 = _finite(kernels.matmul(x, x), _PADE, "X^2")
-        x4 = _finite(kernels.matmul(x2, x2), _PADE, "X^4")
-        x6 = _finite(kernels.matmul(x4, x2), _PADE, "X^6")
-        powers = (np.eye(x.shape[0], dtype=x.dtype), x2, x4, x6)
-        odd = _finite(_even_sum(b[1::2], powers), _PADE, "the odd sum")
-        u = kernels.matmul(x, odd)
+        u = kernels.matmul(x, _even_sum(b[1::2], powers), _PADE, "U")
         v = _even_sum(b[0::2], powers)
         return _finite(v + u, _PADE, "p"), _finite(v - u, _PADE, "q")
 
@@ -111,8 +110,8 @@ def _even_sum(c, powers):
     X^6 (c_4 X^2 + c_5 X^4 + c_6 X^6).
     """
     eye, x2, x4, x6 = powers
-    high = _finite(c[4] * x2 + c[5] * x4 + c[6] * x6, _PADE, "a partial sum")
-    return c[0] * eye + c[1] * x2 + c[2] * x4 + c[3] * x6 + kernels.matmul(x6, high)
+    high = kernels.matmul(x6, c[4] * x2 + c[5] * x4 + c[6] * x6, _PADE, "a Horner product")
+    return c[0] * eye + c[1] * x2 + c[2] * x4 + c[3] * x6 + high
 
 
 def expm(m, config=None):

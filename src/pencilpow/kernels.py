@@ -5,7 +5,8 @@ classical matrix multiplication, full (complete) Householder QR with a
 real-nonnegative diagonal normalization, SVD as numpy's ``(u, s, vh)``,
 spectral-norm helpers, and QR-based inversion. All functions are pure and
 dtype-preserving; precision (complex64 / complex128) rides on the input
-arrays.
+arrays. `matmul` checks each product once, where it is made: an overflow
+is a `DomainError` naming its caller, as is `full_qr`'s.
 
 `full_qr` keeps LAPACK's Householder vectors for every shape and forms its
 Q, or only the trailing columns of Q, by compact WY products when they are
@@ -28,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, NumericallySingularError, ShapeError
-from .precision import as_matrix, same_precision, square_matrix, unit_roundoff
+from .precision import _finite, as_matrix, same_precision, square_matrix, unit_roundoff
 
 __all__ = [
     "FullQR",
@@ -123,18 +124,22 @@ def _tally(kind):
         setattr(counts, kind, getattr(counts, kind) + 1)
 
 
-def matmul(a, b):
-    """Classical product ``a @ b`` with shape and precision validation."""
+def matmul(a, b, name="matmul", what="the product"):
+    """Classical product ``a @ b`` with shape and precision validation.
+
+    An overflow raises `_finite`'s `DomainError` naming ``name`` and ``what``.
+    """
     a = as_matrix(a, "a")
     b = as_matrix(b, "b")
     same_precision(a, b, "matmul")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} x {b.shape}")
     _tally("matmul")
-    return a @ b
+    with np.errstate(over="ignore", invalid="ignore"):  # checked next
+        return _finite(a @ b, name, what)
 
 
-def full_qr(a):
+def full_qr(a, name="full_qr"):
     """Complete Householder QR with real-nonnegative diagonal of R.
 
     The LAPACK factorization leaves diag(R) with arbitrary phases; the
@@ -148,7 +153,8 @@ def full_qr(a):
     reads ``complement`` and never pays for the leading n. Forming Q is part
     of the one tallied QR, so it uses plain ``@``, not `matmul`. This is the
     billed QR of the cost model; `_positive_qr` is the unbilled one. A
-    complex64 R past the float32 range raises `DomainError`.
+    complex64 R past the float32 range raises `DomainError` naming ``name``;
+    a complex128 R or complement past it comes back non-finite, for `irs_step` to refuse.
 
     Parameters
     ----------
@@ -173,7 +179,7 @@ def full_qr(a):
         with np.errstate(over="ignore"):  # checked next
             r = r.astype(a.dtype)
         if not np.isfinite(r).all():
-            raise DomainError(f"full_qr: a result overflows {a.dtype}")
+            raise DomainError(f"{name}: a result overflows {a.dtype}")
     phases = _positive_diagonal(r)
     # V is built in place: rows n: lie wholly below the diagonal already
     v[:n] = np.tril(v[:n], -1)

@@ -154,9 +154,9 @@ def qr_perturb_certificate(a, e):
         empirical = || Q(a + e) - Q(a) ||_2
 
     against ``(2 ln(n+1) + 7) alpha(x) kappa_2(a) ||e||_2 / ||a||_2`` with
-    ``x = ||a^+||_2 ||e||_2``. When ``x >= 1`` the bound's hypothesis fails
-    and the certificate is returned with ``valid=False`` and an infinite
-    bound. ``e = 0`` is the limit case: the bound is exactly 0.
+    ``x = ||a^+||_2 ||e||_2`` (``alpha_arg``, inf where it overflows). When
+    ``x >= 1`` the bound's hypothesis fails and the certificate is returned
+    with ``valid=False`` and an infinite bound; ``e = 0`` gives a zero bound.
     """
     a = as_matrix(a, "a")
     e = as_matrix(e, "e")

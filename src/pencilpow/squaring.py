@@ -135,11 +135,11 @@ def irs_step(a_j, b_j, step_index=0):
     stack = np.empty((2 * n, n), dtype=a_j.dtype)
     stack[:n] = b_j
     np.negative(a_j, out=stack[n:])
-    qr = kernels.full_qr(stack)
+    qr = kernels.full_qr(stack, "irs_step")
     trace = _stack_diagnostics(stack, qr.R[:n], step_index)
     q_c = qr.complement
-    a_next = kernels.matmul(q_c[:n].conj().T, a_j)
-    b_next = kernels.matmul(q_c[n:].conj().T, b_j)
+    a_next = kernels.matmul(q_c[:n].conj().T, a_j, "irs_step", "A_{j+1}")
+    b_next = kernels.matmul(q_c[n:].conj().T, b_j, "irs_step", "B_{j+1}")
     return a_next, b_next, trace
 
 
@@ -181,10 +181,10 @@ def explicit_iter(a, b):
     first power is requested.
     """
     pencil = Pencil(a, b)
-    d = _product(kernels.invert(pencil.a), pencil.b, "explicit_squaring", "D_0")
+    d = kernels.matmul(kernels.invert(pencil.a), pencil.b, "explicit_squaring", "D_0")
     for j in count(1):
         yield d
-        d = _product(d, d, "explicit_squaring", f"D_0^(2^{j})")
+        d = kernels.matmul(d, d, "explicit_squaring", f"D_0^(2^{j})")
 
 
 def explicit_squaring(a, b, p):
@@ -196,12 +196,6 @@ def explicit_squaring(a, b, p):
     return next(islice(explicit_iter(a, b), _count(p, 0, "explicit_squaring"), None))
 
 
-def _product(x, y, name, what):
-    """``x @ y``, or `_finite`'s `DomainError` when it overflows to a non-finite matrix."""
-    with np.errstate(over="ignore", invalid="ignore"):  # checked next
-        return _finite(kernels.matmul(x, y), name, what)
-
-
 def implicit_to_explicit(run):
     """Convert an implicit run to the explicit power ``a_p^-1 b_p``.
 
@@ -210,7 +204,7 @@ def implicit_to_explicit(run):
     original pencil inside the unit disk has collapsed sigma_n(A_p). Raises
     `DomainError` when the product overflows, as `explicit_squaring` does.
     """
-    return _product(kernels.invert(run.a_p), run.b_p, "implicit_to_explicit", "a_p^-1 b_p")
+    return kernels.matmul(kernels.invert(run.a_p), run.b_p, "implicit_to_explicit", "a_p^-1 b_p")
 
 
 def spectral_projector(run):
@@ -225,4 +219,5 @@ def spectral_projector(run):
     """
     with np.errstate(over="ignore", invalid="ignore"):  # checked next
         total = _finite(run.a_p + run.b_p, "spectral_projector", "a_p + b_p")
-    return _product(kernels.invert(total), run.a_p, "spectral_projector", "(a_p + b_p)^-1 a_p")
+    return kernels.matmul(kernels.invert(total), run.a_p, "spectral_projector",
+                          "(a_p + b_p)^-1 a_p")

@@ -713,9 +713,23 @@ def test_svd_past_the_float32_range_is_a_domain_error():
                        ("smallest_singular", lambda: kernels.smallest_singular(a)),
                        ("invert", lambda: kernels.invert(a)),
                        ("full_qr", lambda: kernels.full_qr(stack)),
-                       ("full_qr", lambda: squaring.irs_step(a, a))):
+                       ("irs_step", lambda: squaring.irs_step(a, a)),
+                       ("irs_step", lambda: squaring.irs(a, a, 1))):
         with pytest.raises(DomainError, match=f"{name}: a result overflows complex64"):
             call()
+
+
+@pytest.mark.parametrize("dtype, entry", [(np.complex128, 1e200),
+                                          (np.complex64, np.finfo(np.float32).max / 2)])
+def test_matmul_overflow_is_a_domain_error_naming_its_caller(dtype, entry):
+    # each product is range-checked once, in matmul, under its caller's name
+    a = np.full((4, 4), entry, dtype=dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="^matmul: the product overflowed$"):
+            kernels.matmul(a, a)
+        with pytest.raises(DomainError, match="^caller: X Y overflowed$"):
+            kernels.matmul(a, a, "caller", "X Y")
 
 
 def test_unit_roundoff_of_every_input_kind():

@@ -53,3 +53,14 @@ def test_each_decision_has_one_owner():
     rows = {owner for module, owner in _owners(_call("TrialRecord"))
             if module == "harness/experiments.py"}
     assert rows == {"_row"}
+
+
+def test_each_product_is_range_checked_once():
+    # kernels.matmul refuses an overflowed product itself: no caller re-checks
+    # one with _finite, and squaring keeps no product wrapper of its own
+    def rechecks(node):
+        return _call("_finite")(node) and any(_call("matmul")(sub) for arg in node.args
+                                              for sub in ast.walk(arg))
+    assert _owners(rechecks) == set()
+    wrappers = _owners(lambda node: isinstance(node, ast.FunctionDef) and node.name == "_product")
+    assert "squaring.py" not in {module for module, _ in wrappers}
