@@ -19,6 +19,9 @@ OMEGA_CASES = ((16, 1), (32, 7), (128, 1))
 #: matrix orders of `screen_c64`, each timed for irs_step and for invert
 SCREEN_SIZES = (128, 256, 512)
 SCREEN_CALLS = ("irs_step", "invert")
+#: dtypes and matrix orders of `invert`'s cases, dtype outermost
+INVERT_DTYPES = ("complex128", "complex64")
+INVERT_SIZES = (64, 128, 256)
 
 
 def _ginibre_pair(n, seed):
@@ -27,6 +30,16 @@ def _ginibre_pair(n, seed):
 
     rng = np.random.Generator(np.random.Philox(seed))
     return gen_ginibre(n, rng), gen_ginibre(n, rng)
+
+
+def _median_of_three(call):
+    """Median wall time in ms of three ``call()``s."""
+    ms = []
+    for _ in range(3):
+        t = time.perf_counter()
+        call()
+        ms.append((time.perf_counter() - t) * 1e3)
+    return statistics.median(ms)
 
 
 def omega():
@@ -69,12 +82,29 @@ def screen_c64():
             for call in (lambda: irs_step(a, b), lambda: kernels.invert(a)):
                 call()
                 svd.reset_mock()
-                ms = []
-                for _ in range(3):
-                    t = time.perf_counter()
-                    call()
-                    ms.append((time.perf_counter() - t) * 1e3)
-                out.append([statistics.median(ms), svd.call_count])
+                out.append([_median_of_three(call), svd.call_count])
+    return out
+
+
+def invert():
+    """Time `kernels.invert`; the value is the residual ``||X A - I||_2`` of its X.
+
+    Per dtype of `INVERT_DTYPES` and n of `INVERT_SIZES`, A is the first
+    Ginibre matrix from ``Philox(n)``, rounded to the dtype. A call at n = 64
+    takes under 1 ms, so a run's time is the median of three calls after one
+    that warms up. The residual is taken in complex128, so a complex64 X is
+    judged without a second rounding.
+    """
+    from pencilpow import kernels
+
+    out = []
+    for dtype in INVERT_DTYPES:
+        for n in INVERT_SIZES:
+            a = _ginibre_pair(n, n)[0].astype(dtype)
+            x = kernels.invert(a).astype(np.complex128)  # warms up
+            ms = _median_of_three(lambda: kernels.invert(a))
+            residual = np.linalg.norm(x @ a.astype(np.complex128) - np.eye(n), 2)
+            out.append([ms, float(residual)])
     return out
 
 
@@ -91,4 +121,8 @@ SUITES = {
         [f"{call}, complex64 Ginibre n={n}" for n in SCREEN_SIZES for call in SCREEN_CALLS],
         "svds", "wall time of one call, median of three per process, median of the repeats",
         "BENCH_screen_c64.json"),
+    "invert": Suite(
+        invert, [f"invert, {dtype} Ginibre n={n}" for dtype in INVERT_DTYPES for n in INVERT_SIZES],
+        "residual", "wall time of one call, median of three per process, median of the repeats",
+        "BENCH_invert.json"),
 }

@@ -383,10 +383,10 @@ def _tri_inv(r):
     so above blocks of order `_BLOCK` the work is matmuls only, the
     stable building block of Demmel, Dumitriu and Holtz (2007). Smaller
     blocks go to ``np.linalg.solve``, whose LU of a triangle is exact (L = I),
-    so that is back substitution. All runs in complex128, as numpy's solve
-    does. Raises ``np.linalg.LinAlgError`` when a diagonal entry is exactly
-    zero, and for some non-finite ``r``. Not tallied: it serves the rank
-    screen (`_rank_verdict`) and the WY factors (`_apply_reflectors`) of a QR.
+    so that is back substitution. All runs in complex128. Raises
+    ``np.linalg.LinAlgError`` when a diagonal entry is exactly zero, and for
+    some non-finite ``r``. Not tallied: it serves the rank screen
+    (`_rank_verdict`, whose inverse `invert` reuses) and the WY factors.
     """
     r = r.astype(np.complex128, copy=False)
     n = r.shape[0]
@@ -400,31 +400,28 @@ def _tri_inv(r):
     return x
 
 
-def _rank_verdict(r, inverse=_tri_inv, *, fallback, what):
+def _rank_verdict(r, *, fallback, what):
     """The one screen-then-SVD rank check: ``(sigma_1, sigma_n, deficient, r_inv)`` of ``r``.
 
-    The screen: ``r_inv = inverse(r)`` (default `_tri_inv`) is r^-1, or any
-    matrix with the same Frobenius norm, such as ``R^-1 Q^H``, formed with
-    numpy's warnings off; a ``LinAlgError`` from it, or ``inverse=None``,
-    leaves None. As ``kappa_2(r) <= ||r||_F ||r^-1||_F``, ``||r||_F ||r_inv||_F
-    < 1 / (s n u)``, n the column count, certifies ``sigma_n(r) > n u ||r||_2``
-    if s covers the rounding. Both inverses are substitutions in complex128
-    (u_d = 2^-53; invert's X is then rounded to r's dtype), with residual at
+    The screen: ``r_inv = _tri_inv(r)``, formed with numpy's warnings off; a
+    ``LinAlgError`` from it leaves None. As ``kappa_2(r) <= ||r||_F
+    ||r^-1||_F``, ``||r||_F ||r_inv||_F < 1 / (s n u)``, n the column count,
+    certifies ``sigma_n(r) > n u ||r||_2`` if s covers the rounding. The
+    inverse is a substitution in complex128 (u_d = 2^-53), with residual at
     most ``c n u_d ||r||_F ||r_inv||_F < c u_d / (s u)`` (Higham, *ASNA*, 2nd
     ed., sections 8.1, 14.2), which bounds ``||r^-1||_F / ||r_inv||_F``. So s =
     n for complex128, and s = 2 for complex64 (u_d / u = 2^-29) while the
     float32 ||r||_F errs by at most n^2 u <= 1; s = n cannot pass from n = 256,
     as ``||r||_F ||r^-1||_F >= n``. `_tri_inv`'s matmul levels are taken to
     keep the bound. A pass returns ``(||r||_F, 1 / ||r_inv||_F, False, r_inv)``
-    without an SVD; a NaN or inf in either matrix fails it. Otherwise the
-    exact singular values of ``fallback`` (``r``, or the matrix r was factored
+    without an SVD; a NaN or inf in either matrix fails it. Otherwise the exact
+    singular values of ``fallback`` (``r``, or the matrix r was factored
     from) come with `_rank_deficient`'s verdict; an SVD failure names ``what``.
     """
     r_inv = None
     with np.errstate(all="ignore"):  # a non-finite inverse or product fails the screen
         try:
-            if inverse is not None:
-                r_inv = inverse(r)
+            r_inv = _tri_inv(r)
         except np.linalg.LinAlgError:  # an exactly zero pivot, or a non-finite r
             pass
         if r_inv is not None:
@@ -437,23 +434,21 @@ def _rank_verdict(r, inverse=_tri_inv, *, fallback, what):
 
 
 def invert(a):
-    """Inverse of a square matrix via QR and a triangular solve.
+    """Inverse of a square matrix via QR and a triangular inverse: ``X = R^-1 Q^H``.
 
     One QR-based code path, the unbilled `_positive_qr`, keeps the stability
-    story of the rest of the library. A matrix that `_rank_deficient` flags
-    is numerically singular, and so is one whose QR factors or inverse come
-    out non-finite (an ``a`` scaled into the subnormal range).
+    story of the rest of the library. ``R^-1`` is the ``r_inv`` of
+    `_rank_verdict`'s screen (`_tri_inv`, in complex128), so the guard and
+    the result share one triangular inverse; X is rounded once to ``a``'s
+    dtype. A matrix that `_rank_deficient` flags is numerically singular,
+    and so is one whose QR factors or X come out non-finite (an ``a``
+    scaled into the subnormal range, or a complex64 X past the float32
+    range); that refusal carries the exact sigma_min of an SVD of ``a``.
 
-    The solve ``R X = Q^H`` goes through numpy's ``?gesv``: partial-pivot LU
-    of an upper-triangular R with a nonzero diagonal is exact (L = I, U = R),
-    so this is the back substitution itself, run on numpy's one OpenBLAS
-    pool rather than waking scipy's second one.
-
-    The singularity guard needs an SVD of ``a`` only near its threshold. The
-    factors screen it first: ``kappa_2(a) = kappa_2(R)`` and
-    ``||X||_F = ||R^-1||_F``, so factors and X that pass `_rank_verdict`'s
-    screen (``||R||_F ||X||_F < 1 / (s n u)``, a spare factor s inside the
-    guard's ``1 / (n u)``) are returned without one. Any other input runs
+    The singularity guard needs an SVD of ``a`` only near its threshold:
+    ``kappa_2(a) = kappa_2(R)``, so an R that passes `_rank_verdict`'s screen
+    (``||R||_F ||R^-1||_F < 1 / (s n u)``, a spare factor s inside the
+    guard's ``1 / (n u)``) is certified without one. Any other input runs
     the exact guard, so the error fires on the same inputs either way.
     """
     a = square_matrix(a, "a")
@@ -462,12 +457,12 @@ def invert(a):
         raise ShapeError("invert requires a nonempty matrix, got shape (0, 0)")
     _tally("inv")
     q, r = _positive_qr(a)
-    # X = R^-1 Q^H, or None for an exactly singular R; non-finite values are checked below
-    _, sigma_n, deficient, x = _rank_verdict(r, lambda r: np.linalg.solve(r, q.conj().T),
-                                             fallback=a, what="invert")
+    _, sigma_n, deficient, r_inv = _rank_verdict(r, fallback=a, what="invert")
     if deficient:
         raise NumericallySingularError("invert: matrix is numerically singular", sigma_n)
-    # a non-finite Q makes X non-finite too
-    if x is None or not (np.isfinite(x).all() and np.isfinite(r).all()):
+    with np.errstate(all="ignore"):  # None for an exactly singular R; checked next
+        x = None if r_inv is None else (r_inv @ q.conj().T).astype(a.dtype, copy=False)
+    if x is None or not (np.isfinite(x).all() and np.isfinite(r).all()):  # or a non-finite Q
+        sigma_n = float(_singular_values(a, "invert")[-1])  # R alone may have passed the screen
         raise NumericallySingularError("invert: QR factors or inverse are not finite", sigma_n)
-    return np.ascontiguousarray(x)
+    return x

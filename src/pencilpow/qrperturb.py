@@ -166,11 +166,14 @@ def qr_perturb_certificate(a, e):
     m, n = a.shape
     if not m >= n >= 1:
         raise ShapeError(f"qr_perturb_certificate requires m >= n >= 1, got {a.shape}")
-    sigma_1, sigma_n, deficient, _ = kernels._rank_verdict(a, None, fallback=a,
-                                                           what="qr_perturb_certificate")
-    if deficient:
+    sv = kernels._singular_values(a, "qr_perturb_certificate")  # the bound's exact values
+    sigma_1, sigma_n = float(sv[0]), float(sv[-1])
+    if kernels._rank_deficient(sigma_n, sigma_1, a):
         raise NumericallySingularError("qr_perturb_certificate: a is rank deficient", sigma_n)
-    e_norm = kernels.spectral_norm(e)
+    try:
+        e_norm = kernels.spectral_norm(e)
+    except DomainError:  # the only refusal of a finite e: ||e||_2 past the float range
+        raise DomainError("qr_perturb_certificate: ||e||_2 overflows") from None
     alpha_arg = e_norm / sigma_n
     # reduced QR with real positive diag(R): the unique factorization
     q_a, _ = kernels._positive_qr(a)

@@ -137,7 +137,7 @@ def irs_step(a_j, b_j, step_index=0):
     np.negative(a_j, out=stack[n:])
     qr = kernels.full_qr(stack, "irs_step")
     trace = _stack_diagnostics(stack, qr.R[:n], step_index)
-    q_c = qr.complement
+    q_c = _finite(qr.complement, "irs_step", "the Q complement")  # a stack near overflow
     a_next = kernels.matmul(q_c[:n].conj().T, a_j, "irs_step", "A_{j+1}")
     b_next = kernels.matmul(q_c[n:].conj().T, b_j, "irs_step", "B_{j+1}")
     return a_next, b_next, trace

@@ -386,10 +386,10 @@ def test_invert_singular_error_carries_sigma_min():
 
 
 def _reference_invert(a):
-    """Exact SVD guard on every input, then the QR solve: (X or None, sigma_min).
+    """Exact SVD guard on every input, then the QR inverse: (X or None, sigma_min).
 
     None marks a rejection: the guard fires, or the QR factors or X are not
-    finite. Otherwise X is ``solve(R, Q^H)``, bit for bit.
+    finite. Otherwise X is ``_tri_inv(R) Q^H`` rounded to a's dtype, bit for bit.
     """
     n = a.shape[0]
     sv = np.linalg.svd(a, compute_uv=False)
@@ -398,7 +398,7 @@ def _reference_invert(a):
     q, r = kernels._positive_qr(a)
     with np.errstate(all="ignore"):
         try:
-            x = np.linalg.solve(r, q.conj().T)
+            x = (kernels._tri_inv(r) @ q.conj().T).astype(a.dtype)
         except np.linalg.LinAlgError:
             return None, sv[-1]
     if not all(np.isfinite(m).all() for m in (q, r, x)):
@@ -477,24 +477,21 @@ def test_complex64_screen_passes_from_n_256(monkeypatch):
 def test_rank_verdict_screens_before_the_svd():
     rng = rng_for(17)
     r = np.triu(ginibre(8, rng)) + 4 * np.eye(8)
-    r_inv = np.linalg.inv(r)
+    r_inv = kernels._tri_inv(r)
     bounds = (float(np.linalg.norm(r)), float(1.0 / np.linalg.norm(r_inv)), False)
-    # a passing screen never reads the fallback
-    *verdict, got_inv = kernels._rank_verdict(r, lambda _: r_inv, fallback=None, what="t")
-    assert tuple(verdict) == bounds and got_inv is r_inv
+    # a passing screen never reads the fallback, and returns its inverse
+    *verdict, got_inv = kernels._rank_verdict(r, fallback=None, what="t")
+    assert tuple(verdict) == bounds and np.array_equal(got_inv, r_inv)
+    # an inverse past the float range fails the screen, and the fallback's SVD decides
     sv = np.linalg.svd(r, compute_uv=False)
-    assert kernels._rank_verdict(r, None, fallback=r, what="t") == (sv[0], sv[-1], False, None)
-    *verdict, _ = kernels._rank_verdict(r, lambda _: np.full_like(r, np.inf), fallback=r,
-                                         what="t")
+    *verdict, _ = kernels._rank_verdict(r * 1e-310, fallback=r, what="t")
     assert tuple(verdict) == (sv[0], sv[-1], False)
-
-    # an inverse that raises LinAlgError leaves the SVD to decide
-    def singular(_):
-        raise np.linalg.LinAlgError("Singular matrix")
-
-    assert kernels._rank_verdict(r, singular, fallback=r, what="t") == (sv[0], sv[-1], False, None)
+    # an exactly zero pivot makes _tri_inv raise LinAlgError: no inverse, the SVD decides
+    singular = r.copy()
+    singular[3, 3] = 0
+    assert kernels._rank_verdict(singular, fallback=r, what="t") == (sv[0], sv[-1], False, None)
     rank_one = np.outer(ginibre(8, rng)[:, 0], ginibre(8, rng)[0])
-    assert kernels._rank_verdict(rank_one, None, fallback=rank_one, what="t")[2]
+    assert kernels._rank_verdict(rank_one, fallback=rank_one, what="t")[2]
     # a tall m x n matrix is judged against n = columns: sigma_n = 8 u lies
     # above the threshold 4 u of its 4 columns and below 12 u of its 12 rows
     for dtype in (np.complex64, np.complex128):
@@ -502,8 +499,9 @@ def test_rank_verdict_screens_before_the_svd():
         for sigma_n, deficient in ((8 * u, False), (2 * u, True)):
             tall = np.zeros((12, 4), dtype=dtype)
             tall[:4, :4] = np.diag([1.0, 1.0, 1.0, sigma_n])
-            got = kernels._rank_verdict(tall, None, fallback=tall, what="t")
-            assert got[1] == pytest.approx(sigma_n) and got[2] is deficient
+            sv = kernels._singular_values(tall)
+            assert sv[-1] == pytest.approx(sigma_n)
+            assert kernels._rank_deficient(sv[-1], sv[0], tall) is deficient
         assert kernels._rank_deficient(8 * u, 1.0, np.zeros((12, 12), dtype=dtype))
 
 

@@ -42,9 +42,11 @@ def _call(name):
 
 
 def test_each_decision_has_one_owner():
-    # only kernels calls LAPACK, and only _singular_values and svd its SVD
+    # only kernels calls LAPACK, only _singular_values and svd its SVD, and
+    # only _tri_inv its solve: the one triangular inverse
     assert _owners(_linalg("svd")) == {("kernels.py", "_singular_values"), ("kernels.py", "svd")}
-    for routine in ("qr", "eigvalsh", "solve"):
+    assert _owners(_linalg("solve")) == {("kernels.py", "_tri_inv")}
+    for routine in ("qr", "eigvalsh"):
         assert {module for module, _ in _owners(_linalg(routine))} == {"kernels.py"}, routine
     # one loop over IRS steps, one QR phase normalization, one row builder
     assert _owners(_call("irs_step")) == {("squaring.py", "irs_iter")}

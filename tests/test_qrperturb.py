@@ -270,6 +270,12 @@ def test_certificate_rank_deficient_complex64_reports_numpys_sigma_min():
     assert exc.value.sigma_min == np.linalg.svd(a, compute_uv=False)[-1]
 
 
+def test_certificate_names_itself_when_the_perturbation_norm_overflows():
+    e = np.full((4, 4), np.finfo(np.complex128).max / 2, dtype=np.complex128)
+    with pytest.raises(DomainError, match=r"^qr_perturb_certificate: \|\|e\|\|_2 overflows$"):
+        qrperturb.qr_perturb_certificate(np.eye(4, dtype=np.complex128), e)
+
+
 def test_certificate_rejects_differing_shapes():
     with pytest.raises(ShapeError, match="a and e differ in shape"):
         qrperturb.qr_perturb_certificate(np.eye(3), np.eye(2))

@@ -341,6 +341,17 @@ def test_explicit_squaring_overflow_raises_domain_error(dtype):
             squaring.explicit_squaring(a, b, p)
 
 
+def test_irs_step_refuses_a_non_finite_complement_by_name():
+    # the n = 1 stack (max/2; -max/2) has a finite R but a NaN complement
+    a = np.full((1, 1), np.finfo(np.complex128).max / 2, dtype=np.complex128)
+    calls = [lambda: squaring.irs_step(a, a), lambda: squaring.irs(a, a, 2),
+             lambda: squaring.implicit_to_explicit(squaring.irs(a, a, 2)),
+             lambda: squaring.spectral_projector(squaring.irs(a, a, 2))]
+    for call in calls:
+        with pytest.raises(DomainError, match="^irs_step: the Q complement overflowed$"):
+            call()
+
+
 # --- implicit_to_explicit -----------------------------------------------------
 
 def test_implicit_to_explicit_trivial():
