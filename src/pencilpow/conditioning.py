@@ -9,12 +9,14 @@ big matrix. The scale-invariant condition number is
 
     kappa_irs(A, B, p) = ||(A; B)||_2 / sigma_min(M_p(A, B)).
 
-Also here: the distance to the nearest pencil singular on the unit circle
-(a grid + golden-section estimate of min_theta sigma_n(-A + e^{i theta} B))
-and Malyshev's integral criterion omega for the absence of unit-circle
-eigenvalues. omega's trapezoidal rule on 2^k nodes is computed by k steps of
-`squaring.irs_iter` on the normalized pencil (Malyshev's doubling), so a
-`kernels.count_kernels` scope around it counts their QRs and matmuls.
+Also here: the distance d(A, B) to the nearest pencil singular on the unit
+circle, read as the minimum of sigma_n(-A + e^{i theta} B) over the
+`GRID_POINTS` roots of unity, which exceeds d by at most ||B||_2 pi /
+GRID_POINTS, and Malyshev's integral criterion omega for the absence of
+unit-circle eigenvalues. omega's trapezoidal rule on 2^k nodes is computed
+by k steps of `squaring.irs_iter` on the normalized pencil (Malyshev's
+doubling), so a `kernels.count_kernels` scope around it counts their QRs and
+matmuls.
 
 Each function but `build_mp_dense` first scales (A, B) jointly by a power
 of two, so nothing it forms overflows, and scales sigma_min, d and tol back
@@ -53,18 +55,16 @@ MP_DENSE_MAX_SIZE = 4096
 #: arrays already peak near 0.7 GB, and p = 40 would ask for terabytes.
 MP_MAX_P = 24
 
-#: `distance_ill_posed`'s theta grid, whose spacing sets the chain's grid
-#: slack, and golden-section steps; `omega_malyshev`'s first level (2^9 = 512
-#: nodes) and the relative change between levels that settles it
+#: `distance_ill_posed`'s roots of unity: sigma_n(-A + e^{i theta} B) is
+#: ||B||_2-Lipschitz in theta, so their minimum exceeds d(A, B) by at most
+#: ||B||_2 pi / GRID_POINTS, the chain's grid slack; `omega_malyshev`'s first
+#: level (2^9 = 512 nodes) and the relative change between levels that settles it
 GRID_POINTS = 256
-_REFINE_ITERS = 40
 _QUAD_FIRST_LEVEL = 9
 _QUAD_REL_TOL = 1e-6
 
 #: matrix entries `_shifted_sigma_n` forms at once, which bounds its memory
 _BATCH_ENTRIES = 2 ** 18
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _validated(a, b):
@@ -160,41 +160,18 @@ def _kappa(stack_norm, smin, a):
     return stack_norm / smin
 
 
-def _golden_section(f, lo, hi, iters):
-    """Plain golden-section minimization of a scalar function on [lo, hi]."""
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = f(x2)
-    return min(f1, f2)
-
-
 def distance_ill_posed(a, b):
     """Distance to the nearest pencil singular somewhere on the unit circle.
 
-    Estimates ``min_theta sigma_n(-A + e^{i theta} B)`` by a uniform grid of
-    `GRID_POINTS` over [0, 2 pi) followed by golden-section refinement
-    around the grid minimizer. The returned value is an upper bound on the
-    true distance; its resolution is limited by the grid (the objective is
-    ||B||_2-Lipschitz in theta). Raises `DomainError` when the value itself
-    overflows.
+    The minimum of sigma_n(-A + e^{i theta} B) over the `GRID_POINTS` roots
+    of unity. That objective is ||B||_2-Lipschitz in theta, so the returned
+    value d bounds the true distance from above and ``d - ||B||_2 pi /
+    GRID_POINTS`` bounds it from below, up to roundoff. Raises `DomainError`
+    when the value itself overflows.
     """
     a, b, e = _validated(a, b)
-    thetas = _nodes(GRID_POINTS, np.arange(GRID_POINTS))
-    vals = _shifted_sigma_n(a, b, thetas)
-    k = int(np.argmin(vals))
-    h = 2.0 * np.pi / GRID_POINTS
-    refined = _golden_section(lambda theta: float(_shifted_sigma_n(a, b, [theta])[0]),
-                              thetas[k] - h, thetas[k] + h, _REFINE_ITERS)
-    return kernels._scaled_back(min(float(vals[k]), refined), e, "distance_ill_posed")
+    vals = _shifted_sigma_n(a, b, _nodes(GRID_POINTS, np.arange(GRID_POINTS)))
+    return kernels._scaled_back(float(np.min(vals)), e, "distance_ill_posed")
 
 
 def omega_malyshev(a, b):
@@ -321,16 +298,19 @@ def condition_chain_check(a, b, p):
     eigenvalue so close to the unit circle that the rule needs more than 2^t
     nodes, t the significand width (``[[1]], [[1 + 2^-50]]`` in complex128).
     One 1e-4 away (``condition_chain_check([[1]], [[1.0001]], 2)``) settles
-    at 2^19 nodes. The declared slack combines roundoff with the grid
-    resolution of the distance estimate (d is only estimated from above, so
-    the middle link uses the grid slack; see `distance_ill_posed`). The links
-    are checked on the scaled pencil; sigma, d and tol are then scaled back.
+    at 2^19 nodes. The declared slack combines roundoff with the grid slack
+    ``||B||_2 pi / GRID_POINTS``, the width of d's bracket (see
+    `distance_ill_posed`), which the middle link allows. sigma_n(B; -A) is
+    sigma_n(A; B), and the tail's sqrt(sigma_n(A A^H + B B^H)) is
+    sigma_n([A B]). The links are checked on the scaled pencil; sigma, d and
+    tol are then scaled back.
     """
     p = _root_count(p, "condition_chain_check")
     a, b, e = _validated(a, b)
     n = a.shape[0]
-    stack_sigma_n = kernels.smallest_singular(np.vstack([b, -a]))
-    stack_norm = kernels.spectral_norm(np.vstack([a, b]))
+    stack = np.vstack([a, b])
+    stack_sigma_n = kernels.smallest_singular(stack)
+    stack_norm = kernels.spectral_norm(stack)
     smin = sigma_min_mp(a, b, p)
     kap = _kappa(stack_norm, smin, a)
     d = distance_ill_posed(a, b)
@@ -343,8 +323,7 @@ def condition_chain_check(a, b, p):
     roundoff = 10.0 * n * unit_roundoff(a) * stack_norm
     grid_slack = kernels.spectral_norm(b) * np.pi / GRID_POINTS
     tol = roundoff + grid_slack
-    hermitian = a @ a.conj().T + b @ b.conj().T
-    tail = math.sqrt(max(kernels.smallest_singular(hermitian), 0.0)) / (14.0 * omega)
+    tail = kernels.smallest_singular(np.hstack([a, b])) / (14.0 * omega)
     name = "condition_chain_check"
     return ConditionReport(
         sigma_min_mp=kernels._scaled_back(smin, e, name),

@@ -15,7 +15,7 @@ from itertools import islice
 import numpy as np
 
 from .. import kernels
-from ..conditioning import _kappa, _root_count, sigma_min_mp
+from ..conditioning import _root_count, kappa_irs
 from ..errors import DomainError, NumericallySingularError
 from ..expm import _final_pencil
 from ..kernels import _kappa_sigma
@@ -247,6 +247,7 @@ def run_expm_experiment(config):
         g = gen_ginibre(config.n, rng)
         v = make_ill_conditioned(g, config.delta)
         d = sample_spectrum("disk", config.n, rng)
+        # LAPACK's inverse, not kernels.invert: the oracle must not share the code it measures
         v_inv = np.linalg.inv(v)
         m = ((v * d[None, :]) @ v_inv).astype(dtype)
         reference = (v * np.exp(d)[None, :]) @ v_inv
@@ -338,7 +339,7 @@ def run_bound_report(config):
                 product_es *= 2.0 * (1.0 + tau) * product_base ** k
             kappa_ap, sigma_ap = _kappa_sigma(run.a_p)
             norm_bp = kernels.spectral_norm(run.b_p)
-            kap_irs = _kappa(stack_norm, sigma_min_mp(a0, b0, p), a0)
+            kap_irs = kappa_irs(a0, b0, p)
             gamma = 1.0 + 4.0 * math.sqrt(2.0) * (8.0 * math.log(n + 1) + 28.0) * kap_irs
             eps = 14.0 * tau * gamma ** (p - 1)
             t1 = tau * (1.0 + (1.0 + tau) * kappa_ap ** c_log) * (norm_bp / sigma_ap)

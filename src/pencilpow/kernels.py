@@ -413,7 +413,9 @@ def _rank_verdict(r, *, fallback, what):
     n for complex128, and s = 2 for complex64 (u_d / u = 2^-29) while the
     float32 ||r||_F errs by at most n^2 u <= 1; s = n cannot pass from n = 256,
     as ``||r||_F ||r^-1||_F >= n``. `_tri_inv`'s matmul levels are taken to
-    keep the bound. A pass returns ``(||r||_F, 1 / ||r_inv||_F, False, r_inv)``
+    keep the bound. Both norms are of `_pow2_scaled` copies, scaled back, so a
+    tiny r cannot read ``||r||_F = 0`` and pass, and a norm past the float range
+    reads inf. A pass returns ``(||r||_F, 1 / ||r_inv||_F, False, r_inv)``
     without an SVD; a NaN or inf in either matrix fails it. Otherwise the exact
     singular values of ``fallback`` (``r``, or the matrix r was factored
     from) come with `_rank_deficient`'s verdict; an SVD failure names ``what``.
@@ -425,7 +427,9 @@ def _rank_verdict(r, *, fallback, what):
         except np.linalg.LinAlgError:  # an exactly zero pivot, or a non-finite r
             pass
         if r_inv is not None:
-            norm_r, norm_inv, n = np.linalg.norm(r), np.linalg.norm(r_inv), r.shape[1]
+            norm_r, norm_inv = (np.ldexp(np.linalg.norm(x), e)  # no square under/overflows
+                                for x, e in map(_pow2_scaled, (r, r_inv)))
+            n = r.shape[1]
             spare = 2 if r.dtype == np.complex64 and n <= 2 ** 12 else n  # n^2 u <= 1
             if norm_r * norm_inv < 1.0 / (spare * n * unit_roundoff(r)):
                 return float(norm_r), float(1.0 / norm_inv), False, r_inv

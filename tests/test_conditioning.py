@@ -182,6 +182,29 @@ def test_distance_scalar_eigenvalue_on_circle():
     assert conditioning.distance_ill_posed(scalar(1.0), scalar(1.0)) <= 1e-8
 
 
+def _svd_shapes(monkeypatch):
+    """The list of shapes `kernels._singular_values` is called on from here on."""
+    shapes = []
+    original = kernels._singular_values
+
+    def counting(x, *rest):
+        shapes.append(x.shape)
+        return original(x, *rest)
+
+    monkeypatch.setattr(kernels, "_singular_values", counting)
+    return shapes
+
+
+def test_distance_sweeps_the_grid_once(monkeypatch):
+    # d is the grid's minimum alone: one batch of GRID_POINTS pencils, no refinement
+    rng = rng_for(52)
+    a = gen_ginibre(3, rng)
+    b = gen_ginibre(3, rng)
+    shapes = _svd_shapes(monkeypatch)
+    conditioning.distance_ill_posed(a, b)
+    assert shapes == [(conditioning.GRID_POINTS, 3, 3)]
+
+
 def test_distance_below_sigma_min_mp():
     # for p <= 7 the 2^p-th roots of -1 are, bit for bit, nodes of the grid of
     # GRID_POINTS = 2^8 roots of unity, so d <= sigma_min(M_p) needs no slack
@@ -424,14 +447,7 @@ def test_chain_sweeps_the_roots_once(monkeypatch):
     rng = rng_for(51)
     a = gen_ginibre(3, rng)
     b = gen_ginibre(3, rng)
-    shapes = []
-    original = kernels._singular_values
-
-    def counting(x, *rest):
-        shapes.append(x.shape)
-        return original(x, *rest)
-
-    monkeypatch.setattr(kernels, "_singular_values", counting)
+    shapes = _svd_shapes(monkeypatch)
     report = conditioning.condition_chain_check(a, b, 3)
     assert shapes.count((8, 3, 3)) == 1
     assert report.sigma_min_mp == conditioning.sigma_min_mp(a, b, 3)

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from pencilpow.errors import (
     NumericallySingularError,
     PencilPowError,
     PrecisionMismatchError,
+    RankDeficientStackWarning,
     ShapeError,
 )
 from pencilpow.harness.generators import build_test_pencil
@@ -472,6 +474,30 @@ def test_complex64_screen_passes_from_n_256(monkeypatch):
     assert a_next.dtype == np.complex64 and not trace.rank_warning
     x = kernels.invert(a)
     assert x.dtype == np.complex64 and np.linalg.norm(x @ a - np.eye(256)) < 1e-2
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+def test_rank_screen_verdict_is_scale_invariant(dtype):
+    # a power-of-two scaling keeps every singular value ratio, so over the
+    # dtype's normal range invert and irs_step keep the unscaled verdict; a
+    # float32 ||R||_F whose squares underflowed read 0 and passed the screen
+    info = np.finfo(np.dtype(dtype))
+    u = unit_roundoff(np.dtype(dtype))
+    full, deficient = np.diag([1.0, 0.5]), np.diag([1.0, u / 2])
+    scales = np.linspace(info.minexp + info.nmant + 2, info.maxexp - 2, 60).astype(int).tolist()
+    for a, singular in ((full, False), (deficient, True)):
+        for k in scales:
+            scaled = np.ldexp(a, k).astype(dtype)
+            if singular:
+                with pytest.raises(NumericallySingularError) as exc:
+                    kernels.invert(scaled)
+                assert exc.value.sigma_min == pytest.approx(math.ldexp(u / 2, k)), k
+            else:
+                assert np.isfinite(kernels.invert(scaled)).all(), k
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RankDeficientStackWarning)
+                trace = squaring.irs_step(scaled, 0 * scaled)[2]
+            assert trace.rank_warning is singular and trace.norm_stack_ub > 0, k
 
 
 def test_rank_verdict_screens_before_the_svd():

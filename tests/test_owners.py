@@ -46,6 +46,8 @@ def test_each_decision_has_one_owner():
     # only _tri_inv its solve: the one triangular inverse
     assert _owners(_linalg("svd")) == {("kernels.py", "_singular_values"), ("kernels.py", "svd")}
     assert _owners(_linalg("solve")) == {("kernels.py", "_tri_inv")}
+    # the expm oracle's LAPACK inverse is the one inverse outside kernels.invert
+    assert _owners(_linalg("inv")) == {("harness/experiments.py", "run_expm_experiment")}
     for routine in ("qr", "eigvalsh"):
         assert {module for module, _ in _owners(_linalg(routine))} == {"kernels.py"}, routine
     # one loop over IRS steps, one QR phase normalization, one row builder

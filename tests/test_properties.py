@@ -12,6 +12,7 @@ from pencilpow import conditioning, kernels, qrperturb
 from pencilpow.harness.emit import emit_csv, parse_csv
 from pencilpow.harness.experiments import TrialRecord
 from pencilpow.harness.generators import build_test_pencil, gen_ginibre, gen_haar, sample_spectrum
+from pencilpow.precision import unit_roundoff
 
 U64 = 2.0 ** -53
 
@@ -102,6 +103,22 @@ def test_omega_levels_are_the_trapezoidal_rule(seed, annulus):
         levels = list(islice(conditioning._omega_levels(a, b), 7))
     for k, omega in enumerate(levels):
         assert omega == pytest.approx(_trapezoid_omega(a, b, 2 ** k), rel=1e-12)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(min_value=0, max_value=2999), st.integers(min_value=1, max_value=6),
+       st.sampled_from([np.complex64, np.complex128]))
+def test_distance_brackets_a_fine_sweep(seed, n, dtype):
+    # sigma_n(-A + e^{i theta} B) is ||B||_2-Lipschitz in theta, so the minimum
+    # over 2^14 roots of unity, a superset of the grid, lies in d's bracket
+    rng = np.random.Generator(np.random.Philox(seed))
+    a, b, _ = conditioning._validated(*(gen_ginibre(n, rng).astype(dtype) for _ in range(2)))
+    d = conditioning.distance_ill_posed(a, b)
+    nodes = conditioning._nodes(2 ** 14, np.arange(2 ** 14))
+    fine = np.min(conditioning._shifted_sigma_n(a, b, nodes))
+    slack = kernels.spectral_norm(b) * np.pi / conditioning.GRID_POINTS
+    roundoff = 10 * n * unit_roundoff(a) * kernels.spectral_norm(np.vstack([a, b]))
+    assert d - slack - roundoff <= fine <= d
 
 
 @settings(max_examples=20, deadline=None)
